@@ -18,15 +18,13 @@ from .core import (
     ReactionConfig,
     ReactionKind,
     Severity,
-    SUPPORTED_COMMANDS,
-    ensure_supported,
 )
 from .data import (
     DatasetHandle,
     DatasetKind,
     assemble_velocity_pairs,
     open_dataset,
-    read_column,
+    read_columns,
 )
 from .drift import (
     DriftMetrics,
@@ -43,11 +41,9 @@ from .errors import (
     PreconditionError,
     SchemaError,
     StorageError,
-    UnsupportedCommandError,
     ValidationError,
 )
 from .performance import (
-    PerformanceMetrics,
     VelocityPair,
     actual_velocity,
     coefficient_of_variation,
@@ -55,8 +51,8 @@ from .performance import (
     wmape,
 )
 from .sketch import QuantileSketch
-from .store import FileStore, StoreKey, StoredDocument, dumps_doc, loads_doc
-from .summary import ApproxCdf, BinnedDensity, build_cdf, density_from_cdf
+from .store import FileStore, StoreKey, dumps_doc, loads_doc
+from .summary import ApproxCdf, build_cdf, density_from_cdf
 from .synth import SynthSpec, generate_synthetic
 
 __version__ = "0.1.0"

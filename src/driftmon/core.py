@@ -1,9 +1,8 @@
 """Monitor, metric, reaction, and log lifecycle over a document store.
 
-The command surface mirrors a fixed verb/object matrix: monitors and
-reactions support set/get/run/delete, while metrics and logs only support
-get/delete because they are produced by running monitors and reactions,
-never written directly.  All state lives under hierarchical keys::
+Monitors and reactions support set/get/run/delete, while metrics and logs
+only support get/delete because they are produced by running monitors and
+reactions, never written directly.  All state lives under hierarchical keys::
 
     model/{model_id}
     model/{model_id}/monitor/{monitor_id}
@@ -21,16 +20,11 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
-from .data import DatasetHandle, assemble_velocity_pairs, read_column
+from .data import DatasetHandle, assemble_velocity_pairs, read_columns
 from .drift import drift_evaluate
-from .errors import (
-    NotFoundError,
-    PreconditionError,
-    UnsupportedCommandError,
-    ValidationError,
-)
+from .errors import NotFoundError, PreconditionError, StorageError, ValidationError
 from .performance import mae, wmape
 from .sketch import QuantileSketch
 from .store import FileStore, StoreKey, dumps_doc, loads_doc
@@ -45,8 +39,6 @@ __all__ = [
     "MetricRecord",
     "ReactionConfig",
     "LogRecord",
-    "SUPPORTED_COMMANDS",
-    "ensure_supported",
     "MonitoringService",
 ]
 
@@ -67,25 +59,10 @@ _COMPARATORS: dict[str, Callable[[float, float], bool]] = {
     ">=": operator.ge,
 }
 
-#: The verb/object matrix of the public command surface.
-SUPPORTED_COMMANDS: dict[str, frozenset[str]] = {
-    "monitor": frozenset({"set", "get", "run", "delete"}),
-    "metrics": frozenset({"get", "delete"}),
-    "reaction": frozenset({"set", "get", "run", "delete"}),
-    "logs": frozenset({"get", "delete"}),
-}
+#: Entity kinds that ``MonitoringService.delete`` removes.
+_DELETABLE_KINDS = ("monitor", "metrics", "reaction", "logs")
 
-
-def ensure_supported(verb: str, entity: str) -> None:
-    """Reject verb/object pairs outside the command matrix."""
-    allowed = SUPPORTED_COMMANDS.get(entity)
-    if allowed is None:
-        raise UnsupportedCommandError(f"unknown object kind {entity!r}")
-    if verb not in allowed:
-        raise UnsupportedCommandError(
-            f"{verb} is not supported for {entity}: metrics and logs are produced "
-            f"by running monitors and reactions, not written directly"
-        )
+_T = TypeVar("_T")
 
 
 class MonitorKind(str, Enum):
@@ -387,6 +364,20 @@ class MonitoringService:
     def _log_prefix(cls, model_id: str, reaction_id: str) -> StoreKey:
         return cls._reaction_key(model_id, reaction_id).child("log")
 
+    def _load(self, key: StoreKey, decode: Callable[[Any], _T]) -> _T | None:
+        """Decode the document at ``key``, or None when it is absent.
+
+        A document that does not parse or decode is a storage fault, so it
+        is reported against its key instead of escaping as a traceback.
+        """
+        body = self.store.get(key)
+        if body is None:
+            return None
+        try:
+            return decode(loads_doc(body))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"corrupt document {key}: {exc!r}") from exc
+
     # -- models ----------------------------------------------------------
 
     def register_model(self, model_id: str, description: str = "") -> ModelRegistration:
@@ -415,26 +406,23 @@ class MonitoringService:
         return config
 
     def get_monitor(self, model_id: str, monitor_id: str) -> MonitorConfig:
-        body = self.store.get(self._monitor_key(model_id, monitor_id))
-        if body is None:
+        config = self._load(self._monitor_key(model_id, monitor_id), MonitorConfig.from_doc)
+        if config is None:
             raise NotFoundError(f"monitor {monitor_id!r} not found for model {model_id!r}")
-        return MonitorConfig.from_doc(loads_doc(body))
+        return config
 
     def snapshot_baseline(
         self, model_id: str, monitor_id: str, training: DatasetHandle
     ) -> list[ApproxCdf]:
-        """Summarise the training data once per configured quantity and
-        persist the summaries as the monitor's baselines."""
+        """Summarise every configured quantity of the training data in one
+        pass and persist the summaries as the monitor's baselines."""
         config = self.get_monitor(model_id, monitor_id)
         if config.kind is not MonitorKind.DRIFT:
             raise PreconditionError(
                 f"monitor {monitor_id!r} is a {config.kind.value} monitor; "
                 f"only drift monitors take baselines"
             )
-        summaries = [
-            self._summarise_column(training, quantity, config)
-            for quantity in config.quantities
-        ]
+        summaries = self._summarise(training, config)
         for cdf in summaries:
             self.store.put(
                 self._baseline_prefix(model_id, monitor_id).child(cdf.label),
@@ -443,17 +431,23 @@ class MonitoringService:
         return summaries
 
     @staticmethod
-    def _summarise_column(
-        data: DatasetHandle, quantity: str, config: MonitorConfig
-    ) -> ApproxCdf:
-        sketch = QuantileSketch(config.epsilon)
-        for value in read_column(data, quantity):
-            sketch.insert(value)
-        if sketch.count == 0:
-            raise PreconditionError(
-                f"column {quantity!r} of {data.path} holds no usable values"
-            )
-        return build_cdf(sketch, config.cdf_points, quantity)
+    def _summarise(data: DatasetHandle, config: MonitorConfig) -> list[ApproxCdf]:
+        """One summary per configured quantity, from a single read of ``data``."""
+        sketches = [QuantileSketch(config.epsilon) for _ in config.quantities]
+        inserts = [sketch.insert for sketch in sketches]
+        for row in read_columns(data, config.quantities):
+            for insert, value in zip(inserts, row):
+                if value is not None:
+                    insert(value)
+        for quantity, sketch in zip(config.quantities, sketches):
+            if sketch.count == 0:
+                raise PreconditionError(
+                    f"column {quantity!r} of {data.path} holds no usable values"
+                )
+        return [
+            build_cdf(sketch, config.cdf_points, quantity)
+            for quantity, sketch in zip(config.quantities, sketches)
+        ]
 
     def run_monitor(
         self,
@@ -489,16 +483,16 @@ class MonitoringService:
         baselines: dict[str, ApproxCdf] = {}
         for quantity in config.quantities:
             key = self._baseline_prefix(config.model_id, config.monitor_id).child(quantity)
-            body = self.store.get(key)
-            if body is None:
+            baseline = self._load(key, _cdf_from_doc)
+            if baseline is None:
                 raise PreconditionError(
                     f"no baseline for quantity {quantity!r}; run snapshot-baseline first"
                 )
-            baselines[quantity] = _cdf_from_doc(loads_doc(body))
+            baselines[quantity] = baseline
         computed_at = _iso_seconds(_now())
         records = []
-        for quantity in config.quantities:
-            current = self._summarise_column(data, quantity, config)
+        for current in self._summarise(data, config):
+            quantity = current.label
             result = drift_evaluate(baselines[quantity], current, eval_date, config.density_bins)
             records.append(
                 MetricRecord(
@@ -558,8 +552,8 @@ class MonitoringService:
             raise ValidationError("metric range is reversed: date_from is after date_to")
         records = []
         for key in self.store.list(self._metrics_prefix(model_id, monitor_id)):
-            record = MetricRecord.from_doc(loads_doc(self.store.get(key)))
-            if date_from <= record.eval_date <= date_to:
+            record = self._load(key, MetricRecord.from_doc)
+            if record is not None and date_from <= record.eval_date <= date_to:
                 records.append(record)
         records.sort(key=lambda r: (r.eval_date, r.quantity))
         return records
@@ -577,10 +571,10 @@ class MonitoringService:
         return config
 
     def get_reaction(self, model_id: str, reaction_id: str) -> ReactionConfig:
-        body = self.store.get(self._reaction_key(model_id, reaction_id))
-        if body is None:
+        config = self._load(self._reaction_key(model_id, reaction_id), ReactionConfig.from_doc)
+        if config is None:
             raise NotFoundError(f"reaction {reaction_id!r} not found for model {model_id!r}")
-        return ReactionConfig.from_doc(loads_doc(body))
+        return config
 
     def run_reaction(self, model_id: str, reaction_id: str, as_of: date) -> list[LogRecord]:
         """Evaluate a reaction against stored metrics and append one log.
@@ -602,15 +596,10 @@ class MonitoringService:
         self.store.put(key, dumps_doc(record.to_doc()))
         return [record]
 
-    def _monitor_records(
-        self, config: ReactionConfig, date_from: date, date_to: date
-    ) -> list[MetricRecord]:
-        return self.get_metrics(config.model_id, config.monitor_id, date_from, date_to)
-
     def _threshold_log(self, config: ReactionConfig, as_of: date) -> LogRecord:
         records = [
             r
-            for r in self._monitor_records(config, date.min, as_of)
+            for r in self.get_metrics(config.model_id, config.monitor_id, date.min, as_of)
             if config.metric_name in r.metrics
         ]
         if not records:
@@ -642,7 +631,9 @@ class MonitoringService:
         )
 
     def _report_log(self, config: ReactionConfig) -> LogRecord:
-        records = self._monitor_records(config, config.date_from, config.date_to)
+        records = self.get_metrics(
+            config.model_id, config.monitor_id, config.date_from, config.date_to
+        )
         if not records:
             raise PreconditionError(
                 f"no metrics in [{config.date_from}, {config.date_to}] "
@@ -687,7 +678,9 @@ class MonitoringService:
             raise ValidationError("log range is reversed: from_ts is after to_ts")
         logs = []
         for key in self.store.list(self._log_prefix(model_id, reaction_id)):
-            record = LogRecord.from_doc(loads_doc(self.store.get(key)))
+            record = self._load(key, LogRecord.from_doc)
+            if record is None:
+                continue
             if from_ts is not None and record.created_at < from_ts:
                 continue
             if to_ts is not None and record.created_at > to_ts:
@@ -712,7 +705,10 @@ class MonitoringService:
         keeps its metric history; deleting a reaction keeps its logs.
         Histories go away via the ``metrics`` and ``logs`` kinds.
         """
-        ensure_supported("delete", kind)
+        if kind not in _DELETABLE_KINDS:
+            raise ValidationError(
+                f"cannot delete kind {kind!r}; expected one of {', '.join(_DELETABLE_KINDS)}"
+            )
         _check_identifier("model_id", model_id)
         if kind in ("monitor", "metrics"):
             if not monitor_id:

@@ -1,4 +1,4 @@
-"""CSV dataset access: handles, column streams, and velocity assembly.
+"""CSV dataset access: handles, one-pass column streams, and velocity assembly.
 
 All files are plain UTF-8 CSV with a header row and ISO-8601 dates.
 Prediction files carry one row per unit and evaluation date; sales files
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import PreconditionError, SchemaError, StorageError, ValidationError
 from .performance import VELOCITY_WINDOW_DAYS, VelocityPair, actual_velocity
@@ -23,8 +23,7 @@ __all__ = [
     "DatasetKind",
     "DatasetHandle",
     "open_dataset",
-    "ColumnReader",
-    "read_column",
+    "read_columns",
     "assemble_velocity_pairs",
 ]
 
@@ -69,47 +68,75 @@ def open_dataset(path: Path | str, kind: DatasetKind | str) -> DatasetHandle:
     return DatasetHandle(path=path, kind=kind, columns=tuple(header))
 
 
-class ColumnReader:
-    """Iterates one numeric column; blank cells are skipped and counted."""
+def _rows(handle: DatasetHandle, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, cells)`` for each non-empty data row of ``handle``.
 
-    def __init__(self, handle: DatasetHandle, column: str) -> None:
+    ``cells`` holds the stripped cells of ``columns``, in that order; a row
+    too short to reach a column reads it as blank.  A header name that
+    occurs twice resolves to its last occurrence.  ``line`` is the physical
+    line the row ends on, so blank lines are counted.
+    """
+    position = {name: i for i, name in enumerate(handle.columns)}
+    picks = [position[column] for column in columns]
+    width = max(picks, default=-1) + 1
+    with handle.path.open(newline="", encoding="utf-8") as stream:
+        reader = csv.reader(stream)
+        next(reader, None)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield reader.line_num, [row[i].strip() for i in picks]
+
+
+def _number(
+    handle: DatasetHandle, line: int, column: str, cell: str, *, non_negative: bool = False
+) -> float:
+    """Parse one numeric cell, naming file, line and column on failure."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise SchemaError(
+            f"{handle.path}:{line}: cannot parse {cell!r} in column {column!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{handle.path}:{line}: non-finite value {cell!r} in column {column!r}")
+    if non_negative and value < 0.0:
+        raise SchemaError(f"{handle.path}:{line}: negative value {cell!r} in column {column!r}")
+    return value
+
+
+def read_columns(
+    handle: DatasetHandle, columns: Sequence[str]
+) -> Iterator[tuple[float | None, ...]]:
+    """Stream ``columns`` of ``handle`` in one pass, one tuple per row.
+
+    A blank cell reads as None; blanks are counted per column and logged
+    once the file is exhausted.  An unknown column is a schema error raised
+    here, before any row is read.
+    """
+    columns = tuple(columns)
+    for column in columns:
         if column not in handle.columns:
             raise SchemaError(f"{handle.path}: no column named {column!r}")
-        self.handle = handle
-        self.column = column
-        self.skipped_blanks = 0
-
-    def __iter__(self) -> Iterator[float]:
-        with self.handle.path.open(newline="", encoding="utf-8") as stream:
-            reader = csv.DictReader(stream)
-            for line_no, row in enumerate(reader, start=2):
-                cell = (row.get(self.column) or "").strip()
-                if not cell:
-                    self.skipped_blanks += 1
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise SchemaError(
-                        f"{self.handle.path}:{line_no}: cannot parse {cell!r} "
-                        f"in column {self.column!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise SchemaError(
-                        f"{self.handle.path}:{line_no}: non-finite value {cell!r} "
-                        f"in column {self.column!r}"
-                    )
-                yield value
-        if self.skipped_blanks:
-            log.warning(
-                "%s: skipped %d blank cell(s) in column %r",
-                self.handle.path, self.skipped_blanks, self.column,
-            )
+    return _values(handle, columns)
 
 
-def read_column(handle: DatasetHandle, column: str) -> ColumnReader:
-    """Stream the finite values of one column of ``handle``."""
-    return ColumnReader(handle, column)
+def _values(handle: DatasetHandle, columns: tuple[str, ...]) -> Iterator[tuple[float | None, ...]]:
+    blanks = [0] * len(columns)
+    for line, cells in _rows(handle, columns):
+        values: list[float | None] = []
+        for i, cell in enumerate(cells):
+            if cell:
+                values.append(_number(handle, line, columns[i], cell))
+            else:
+                blanks[i] += 1
+                values.append(None)
+        yield tuple(values)
+    for column, count in zip(columns, blanks):
+        if count:
+            log.warning("%s: skipped %d blank cell(s) in column %r", handle.path, count, column)
 
 
 def assemble_velocity_pairs(
@@ -130,78 +157,51 @@ def assemble_velocity_pairs(
     if sales.kind is not DatasetKind.DAILY_SALES:
         raise ValidationError("sales handle must be a daily_sales dataset")
 
-    window = [forecast_date + timedelta(days=i) for i in range(VELOCITY_WINDOW_DAYS)]
-    window_iso = [d.isoformat() for d in window]
+    # ISO day -> offset into the velocity window.
+    window = {
+        (forecast_date + timedelta(days=i)).isoformat(): i for i in range(VELOCITY_WINDOW_DAYS)
+    }
 
     # None marks a unit whose (last) prediction cell was blank.
     rows: dict[str, float | None] = {}
     target = forecast_date.isoformat()
-    with predictions.path.open(newline="", encoding="utf-8") as stream:
-        reader = csv.DictReader(stream)
-        for line_no, row in enumerate(reader, start=2):
-            if (row.get("eval_date") or "").strip() != target:
-                continue
-            unit = (row.get("unit_id") or "").strip()
-            if not unit:
-                raise SchemaError(f"{predictions.path}:{line_no}: missing unit_id")
-            cell = (row.get("prediction") or "").strip()
-            if not cell:
-                rows[unit] = None
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise SchemaError(
-                    f"{predictions.path}:{line_no}: cannot parse prediction {cell!r}"
-                ) from None
-            if not math.isfinite(value) or value < 0.0:
-                raise SchemaError(
-                    f"{predictions.path}:{line_no}: prediction must be finite and "
-                    f"non-negative, got {cell!r}"
-                )
-            rows[unit] = value
+    for line, (day, unit, cell) in _rows(predictions, ("eval_date", "unit_id", "prediction")):
+        if day != target:
+            continue
+        if not unit:
+            raise SchemaError(f"{predictions.path}:{line}: missing unit_id")
+        rows[unit] = (
+            _number(predictions, line, "prediction", cell, non_negative=True) if cell else None
+        )
     predicted = {unit: v for unit, v in rows.items() if v is not None}
     excluded = len(rows) - len(predicted)
 
-    daily: dict[tuple[str, str], float] = {}
+    daily: dict[str, list[float]] = {}
     dates_seen: set[str] = set()
-    with sales.path.open(newline="", encoding="utf-8") as stream:
-        reader = csv.DictReader(stream)
-        for line_no, row in enumerate(reader, start=2):
-            day = (row.get("date") or "").strip()
-            if not day:
-                raise SchemaError(f"{sales.path}:{line_no}: missing date")
-            dates_seen.add(day)
-            if day not in window_iso:
-                continue
-            unit = (row.get("unit_id") or "").strip()
-            cell = (row.get("units") or "").strip()
-            try:
-                units = float(cell)
-            except ValueError:
-                raise SchemaError(f"{sales.path}:{line_no}: cannot parse units {cell!r}") from None
-            if not math.isfinite(units) or units < 0.0:
-                raise SchemaError(
-                    f"{sales.path}:{line_no}: units must be finite and non-negative, got {cell!r}"
-                )
-            key = (unit, day)
-            daily[key] = daily.get(key, 0.0) + units
+    for line, (day, unit, cell) in _rows(sales, ("date", "unit_id", "units")):
+        if not day:
+            raise SchemaError(f"{sales.path}:{line}: missing date")
+        dates_seen.add(day)
+        offset = window.get(day)
+        if offset is None:
+            continue
+        units = _number(sales, line, "units", cell, non_negative=True)
+        daily.setdefault(unit, [0.0] * VELOCITY_WINDOW_DAYS)[offset] += units
 
-    missing_days = [d for d in window_iso if d not in dates_seen]
+    missing_days = [d for d in window if d not in dates_seen]
     if missing_days:
         raise PreconditionError(
             f"sales data covers no rows at all for day(s) {missing_days}; "
             f"the {VELOCITY_WINDOW_DAYS}-day window from {target} is incomplete"
         )
 
-    pairs = []
-    for unit in sorted(predicted):
-        window_sales = [daily.get((unit, day), 0.0) for day in window_iso]
-        pairs.append(
-            VelocityPair(
-                unit_id=unit,
-                predicted=predicted[unit],
-                actual=actual_velocity(window_sales),
-            )
+    no_sales = [0.0] * VELOCITY_WINDOW_DAYS
+    pairs = [
+        VelocityPair(
+            unit_id=unit,
+            predicted=predicted[unit],
+            actual=actual_velocity(daily.get(unit, no_sales)),
         )
+        for unit in sorted(predicted)
+    ]
     return pairs, excluded

@@ -134,7 +134,7 @@ def bhattacharyya(f: ApproxCdf, g: ApproxCdf, bins: int = 100) -> float:
         lo = np.nextafter(lo, -math.inf)
     df = density_from_cdf(f, lo, hi, bins)
     dg = density_from_cdf(g, lo, hi, bins)
-    coefficient = float(np.sqrt(np.asarray(df.masses) * np.asarray(dg.masses)).sum())
+    coefficient = float(np.sqrt(df * dg).sum())
     return min(max(coefficient, 0.0), 1.0)
 
 

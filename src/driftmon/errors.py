@@ -30,9 +30,5 @@ class PreconditionError(MonitoringError):
     """State required by an operation (baselines, metrics, ground truth) is absent."""
 
 
-class UnsupportedCommandError(MonitoringError):
-    """The verb/entity combination is not part of the command surface."""
-
-
 class StorageError(MonitoringError):
     """An underlying filesystem operation failed."""

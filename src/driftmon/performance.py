@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, datetime
 
 from .errors import ValidationError
 
@@ -18,7 +17,6 @@ __all__ = [
     "VELOCITY_WINDOW_DAYS",
     "WMAPE_OFFSET",
     "VelocityPair",
-    "PerformanceMetrics",
     "actual_velocity",
     "mae",
     "wmape",
@@ -48,17 +46,6 @@ class VelocityPair:
                 raise ValidationError(
                     f"{name} velocity must be finite and non-negative, got {v!r}"
                 )
-
-
-@dataclass(frozen=True)
-class PerformanceMetrics:
-    """Accuracy of one day's forecasts, aggregated over ``n`` units."""
-
-    forecast_date: date
-    mae: float
-    wmape: float
-    n: int
-    computed_at: datetime
 
 
 def actual_velocity(daily_sales: list[float]) -> float:

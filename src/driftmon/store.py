@@ -16,7 +16,6 @@ import re
 import shutil
 import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -24,7 +23,6 @@ from .errors import StorageError, ValidationError
 
 __all__ = [
     "StoreKey",
-    "StoredDocument",
     "FileStore",
     "dumps_doc",
     "loads_doc",
@@ -70,15 +68,6 @@ class StoreKey:
 
     def __str__(self) -> str:
         return self.render()
-
-
-@dataclass(frozen=True)
-class StoredDocument:
-    """A document together with its key and last write time."""
-
-    key: StoreKey
-    body: str
-    written_at: datetime
 
 
 def format_real(x: float) -> str:
@@ -192,14 +181,6 @@ class FileStore:
             return None
         except OSError as exc:
             raise StorageError(f"cannot read {key}: {exc}") from exc
-
-    def get_document(self, key: StoreKey) -> StoredDocument | None:
-        path = self._file_path(key)
-        body = self.get(key)
-        if body is None:
-            return None
-        written_at = datetime.fromtimestamp(path.stat().st_mtime, tz=timezone.utc)
-        return StoredDocument(key=key, body=body, written_at=written_at)
 
     def _keys_under(self, prefix: StoreKey) -> Iterator[StoreKey]:
         base = self._dir_path(prefix)

@@ -3,7 +3,7 @@
 An :class:`ApproxCdf` stores a small grid of quantiles and interpolates
 linearly between them, giving a piecewise-linear estimate of the empirical
 CDF whose error is bounded by the grid resolution plus the sketch's rank
-error.  A :class:`BinnedDensity` turns such a CDF into per-bin probability
+error.  :func:`density_from_cdf` turns such a CDF into per-bin probability
 masses over a uniform grid, which is what the distance metrics consume.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EmptySummaryError, ValidationError
 from .sketch import QuantileSketch
 
-__all__ = ["ApproxCdf", "BinnedDensity", "build_cdf", "density_from_cdf"]
+__all__ = ["ApproxCdf", "build_cdf", "density_from_cdf"]
 
 
 @dataclass(frozen=True)
@@ -85,25 +85,6 @@ class ApproxCdf:
         return self(x)
 
 
-@dataclass(frozen=True)
-class BinnedDensity:
-    """Probability mass per uniform bin; ``masses`` sums to 1."""
-
-    bin_edges: tuple[float, ...]
-    masses: tuple[float, ...]
-    bin_width: float
-
-    def __post_init__(self) -> None:
-        if len(self.bin_edges) != len(self.masses) + 1 or not self.masses:
-            raise ValidationError("need K >= 1 masses and K + 1 bin edges")
-        if any(e2 <= e1 for e1, e2 in zip(self.bin_edges, self.bin_edges[1:])):
-            raise ValidationError("bin edges must be strictly increasing")
-        if any(m < 0.0 for m in self.masses):
-            raise ValidationError("masses must be non-negative")
-        if abs(math.fsum(self.masses) - 1.0) > 1e-12:
-            raise ValidationError("masses must sum to 1 within 1e-12")
-
-
 def build_cdf(sketch: QuantileSketch, points: int, label: str) -> ApproxCdf:
     """Summarise a sketch as an interpolated CDF on ``points`` quantiles.
 
@@ -132,13 +113,14 @@ def build_cdf(sketch: QuantileSketch, points: int, label: str) -> ApproxCdf:
     )
 
 
-def density_from_cdf(cdf: ApproxCdf, lo: float, hi: float, bins: int) -> BinnedDensity:
+def density_from_cdf(cdf: ApproxCdf, lo: float, hi: float, bins: int) -> np.ndarray:
     """Bin a CDF into ``bins`` uniform probability masses over ``[lo, hi]``.
 
     Mass the CDF places outside the range (including an atom exactly at
     ``lo``) is redistributed uniformly across all bins, so the result is
     always a proper distribution.  Tiny negative masses from rounding are
-    clamped to zero and the vector renormalised.
+    clamped to zero and the vector renormalised.  Returns the masses, which
+    are non-negative and sum to 1.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
@@ -154,8 +136,4 @@ def density_from_cdf(cdf: ApproxCdf, lo: float, hi: float, bins: int) -> BinnedD
     masses = raw + correction
     np.clip(masses, 0.0, None, out=masses)
     masses /= masses.sum()
-    return BinnedDensity(
-        bin_edges=tuple(float(e) for e in edges),
-        masses=tuple(float(m) for m in masses),
-        bin_width=(hi - lo) / bins,
-    )
+    return masses

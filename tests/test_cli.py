@@ -104,6 +104,34 @@ class TestExitCodes:
         assert code == EXIT_IO
         assert "error:" in err
 
+    def test_truncated_metric_document_is_an_io_error(self, workspace, cli) -> None:
+        store, _ = workspace
+        key = "model/m1/monitor/d1/metrics/2022-03-20/f1"
+        path = Path(store, key + ".json")
+        path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+        code, _, err = cli(
+            "get-metrics", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--from", "2022-03-20", "--to", "2022-03-20",
+        )
+        assert code == EXIT_IO
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_monitor_document_without_id_is_an_io_error(self, workspace, cli) -> None:
+        store, data = workspace
+        key = "model/m1/monitor/d1"
+        path = Path(store, key + ".json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["monitor_id"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = cli(
+            "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--date", "2022-03-20", "--data", str(data / "inference.csv"),
+        )
+        assert code == EXIT_IO
+        assert key in err
+        assert "Traceback" not in err
+
     def test_invalid_date_is_a_usage_error(self, tmp_path: Path, cli) -> None:
         code, _, err = cli(
             "run-monitor", "--store", str(tmp_path / "s"), "--model", "m1",

@@ -21,19 +21,16 @@ from driftmon import (
     QuantileSketch,
     ReactionConfig,
     ReactionKind,
-    SUPPORTED_COMMANDS,
     SchemaError,
     Severity,
     StoreKey,
-    UnsupportedCommandError,
     ValidationError,
     build_cdf,
     drift_evaluate,
     dumps_doc,
-    ensure_supported,
     loads_doc,
     open_dataset,
-    read_column,
+    read_columns,
 )
 from driftmon.core import stride_sample
 
@@ -82,32 +79,6 @@ def drift_setup(service: MonitoringService, tmp_path: Path):
     )
     service.snapshot_baseline("m1", "d1", open_dataset(train, "training"))
     return train
-
-
-class TestCommandMatrix:
-    def test_matrix_contents(self) -> None:
-        assert SUPPORTED_COMMANDS == {
-            "monitor": {"set", "get", "run", "delete"},
-            "metrics": {"get", "delete"},
-            "reaction": {"set", "get", "run", "delete"},
-            "logs": {"get", "delete"},
-        }
-
-    def test_derived_records_cannot_be_written_directly(self) -> None:
-        for entity in ("metrics", "logs"):
-            with pytest.raises(UnsupportedCommandError, match="not supported"):
-                ensure_supported("set", entity)
-            with pytest.raises(UnsupportedCommandError, match="not supported"):
-                ensure_supported("run", entity)
-
-    def test_unknown_entity_rejected(self) -> None:
-        with pytest.raises(UnsupportedCommandError, match="unknown object"):
-            ensure_supported("get", "gadget")
-
-    def test_supported_pairs_pass(self) -> None:
-        for entity, verbs in SUPPORTED_COMMANDS.items():
-            for verb in verbs:
-                ensure_supported(verb, entity)
 
 
 class TestModelRegistry:
@@ -237,7 +208,7 @@ class TestRunDriftMonitor:
 
         def summarize(path: Path) -> object:
             sketch = QuantileSketch(0.01)
-            for v in read_column(open_dataset(path, "daily_inference"), "f1"):
+            for (v,) in read_columns(open_dataset(path, "daily_inference"), ["f1"]):
                 sketch.insert(v)
             return build_cdf(sketch, 20, "f1")
 
@@ -697,9 +668,9 @@ class TestDelete:
         assert remaining == ["model/m1"]
 
     def test_unknown_kind_is_unsupported(self, populated: MonitoringService) -> None:
-        with pytest.raises(UnsupportedCommandError, match="gadget"):
+        with pytest.raises(ValidationError, match="gadget"):
             populated.delete("gadget", model_id="m1")
-        with pytest.raises(UnsupportedCommandError, match="model"):
+        with pytest.raises(ValidationError, match="model"):
             populated.delete("model", model_id="m1")
 
     def test_deleting_nothing_returns_zero(self, service: MonitoringService) -> None:

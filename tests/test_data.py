@@ -23,7 +23,7 @@ from driftmon import (
     generate_synthetic,
     ks_critical_distance,
     open_dataset,
-    read_column,
+    read_columns,
 )
 
 PREDICTION_HEADER = "unit_id,eval_date,prediction,f1\n"
@@ -45,7 +45,7 @@ def sales_rows(day_units: dict[str, list[tuple[str, float]]]) -> str:
 
 def summarize_column(handle, column: str, epsilon: float = 0.001, points: int = 100):
     sketch = QuantileSketch(epsilon)
-    for v in read_column(handle, column):
+    for (v,) in read_columns(handle, [column]):
         sketch.insert(v)
     return build_cdf(sketch, points, column)
 
@@ -87,38 +87,54 @@ class TestReadColumn:
             PREDICTION_HEADER + "u1,2022-03-07,1.5,10.0\nu2,2022-03-07,0.25,20.0\n",
         )
         handle = open_dataset(f, "training")
-        assert list(read_column(handle, "f1")) == [10.0, 20.0]
-        assert list(read_column(handle, "prediction")) == [1.5, 0.25]
+        assert list(read_columns(handle, ["f1"])) == [(10.0,), (20.0,)]
+        assert list(read_columns(handle, ["prediction"])) == [(1.5,), (0.25,)]
 
     def test_blank_cells_are_skipped_and_counted(self, tmp_path: Path, caplog) -> None:
         f = write_csv(
             tmp_path / "t.csv",
             PREDICTION_HEADER + "u1,2022-03-07,1.0,1.0\nu2,2022-03-07,,2.0\nu3,2022-03-07,3.0,3.0\n",
         )
-        reader = read_column(open_dataset(f, "training"), "prediction")
+        reader = read_columns(open_dataset(f, "training"), ["prediction"])
         with caplog.at_level(logging.WARNING):
-            values = list(reader)
+            cells = [v for (v,) in reader]
+        values = [v for v in cells if v is not None]
         assert values == [1.0, 3.0]
-        assert reader.skipped_blanks == 1
+        assert cells.count(None) == 1
         assert any("skipped 1 blank" in message for message in caplog.messages)
 
     def test_unparseable_cell_error_names_file_and_line(self, tmp_path: Path) -> None:
-        f = write_csv(
-            tmp_path / "t.csv",
-            PREDICTION_HEADER + "u1,2022-03-07,1.0,1.0\nu2,2022-03-07,oops,2.0\n",
-        )
-        with pytest.raises(SchemaError, match=r"t\.csv:3: cannot parse 'oops'"):
-            list(read_column(open_dataset(f, "training"), "prediction"))
+        for rows, line in (
+            ("u1,2022-03-07,1.0,1.0\nu2,2022-03-07,oops,2.0\n", 3),
+            # A blank line is skipped but still counts as a line.
+            ("u1,2022-03-07,1.0,1.0\n\nu2,2022-03-07,oops,2.0\n", 4),
+        ):
+            f = write_csv(tmp_path / "t.csv", PREDICTION_HEADER + rows)
+            with pytest.raises(SchemaError, match=rf"t\.csv:{line}: cannot parse 'oops'"):
+                list(read_columns(open_dataset(f, "training"), ["prediction"]))
 
     def test_non_finite_cell_is_rejected_with_line(self, tmp_path: Path) -> None:
         f = write_csv(tmp_path / "t.csv", PREDICTION_HEADER + "u1,2022-03-07,inf,1.0\n")
         with pytest.raises(SchemaError, match=r"t\.csv:2: non-finite"):
-            list(read_column(open_dataset(f, "training"), "prediction"))
+            list(read_columns(open_dataset(f, "training"), ["prediction"]))
 
     def test_missing_column_is_a_schema_error(self, tmp_path: Path) -> None:
         f = write_csv(tmp_path / "t.csv", PREDICTION_HEADER)
         with pytest.raises(SchemaError, match="no column named 'nope'"):
-            read_column(open_dataset(f, "training"), "nope")
+            read_columns(open_dataset(f, "training"), ["nope"])
+
+    def test_rows_are_read_as_a_dict_reader_would(self, tmp_path: Path) -> None:
+        """Empty rows are skipped, a short row reads its missing cells as
+        blank, and a duplicated header name resolves to its last column."""
+        f = write_csv(
+            tmp_path / "t.csv",
+            "unit_id,eval_date,prediction,f1,f1\n"
+            "u1,2022-03-07,1.0,5.0,6.0\n"
+            "\n"
+            "u2,2022-03-07,2.0\n",
+        )
+        rows = read_columns(open_dataset(f, "training"), ["prediction", "f1"])
+        assert list(rows) == [(1.0, 6.0), (2.0, None)]
 
 
 class TestAssembleVelocityPairs:
@@ -218,6 +234,30 @@ class TestAssembleVelocityPairs:
         with pytest.raises(PreconditionError, match="2022-03-23"):
             assemble_velocity_pairs(pred, sales, self.FORECAST)
 
+    @pytest.mark.parametrize(
+        ("pred_row", "sales_row", "where"),
+        [
+            ("u2,2022-03-20,-1.0,0.0", "", r"pred\.csv:3: negative value '-1\.0'"),
+            ("u2,2022-03-20,abc,0.0", "", r"pred\.csv:3: cannot parse 'abc'"),
+            ("", "u1,2022-03-21,lots", r"sales\.csv:9: cannot parse 'lots'"),
+            ("", "u1,2022-03-21,-2", r"sales\.csv:9: negative value '-2'"),
+            (",2022-03-20,1.0,0.0", "", r"pred\.csv:3: missing unit_id"),
+            ("", "u1,,3", r"sales\.csv:9: missing date"),
+        ],
+    )
+    def test_bad_cells_name_file_and_line(
+        self, tmp_path: Path, pred_row: str, sales_row: str, where: str
+    ) -> None:
+        pred_text = PREDICTION_HEADER + "u1,2022-03-20,1.0,0.0\n"
+        sales_text = self.full_window()  # header plus 7 filler rows
+        pred, sales = self.handles(
+            tmp_path,
+            pred_text + (pred_row + "\n" if pred_row else ""),
+            sales_text + (sales_row + "\n" if sales_row else ""),
+        )
+        with pytest.raises(SchemaError, match=where):
+            assemble_velocity_pairs(pred, sales, self.FORECAST)
+
     def test_handle_kinds_are_enforced(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
             tmp_path, PREDICTION_HEADER + "u1,2022-03-20,1.0,0.0\n", self.full_window()
@@ -287,7 +327,7 @@ class TestGenerateSynthetic:
     def test_predictions_are_non_negative(self, tmp_path: Path) -> None:
         train, infer, _ = generate_synthetic(SynthSpec(n_units=500, seed=7), tmp_path / "p")
         for handle in (train, infer):
-            assert all(v >= 0.0 for v in read_column(handle, "prediction"))
+            assert all(v >= 0.0 for (v,) in read_columns(handle, ["prediction"]))
 
     def test_unshifted_features_rarely_flag_drift(self, tmp_path: Path) -> None:
         """Calibration: with no injected shift, the drifted-feature test

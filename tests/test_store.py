@@ -110,20 +110,12 @@ class TestFileStore:
 
     def test_get_missing_returns_none(self, store: FileStore) -> None:
         assert store.get(StoreKey.of("model", "nope")) is None
-        assert store.get_document(StoreKey.of("model", "nope")) is None
 
     def test_overwrite_replaces_body(self, store: FileStore) -> None:
         key = StoreKey.of("k")
         store.put(key, dumps_doc({"v": 1}))
         store.put(key, dumps_doc({"v": 2}))
         assert loads_doc(store.get(key)) == {"v": 2}
-
-    def test_get_document_carries_timestamp(self, store: FileStore) -> None:
-        key = StoreKey.of("k")
-        store.put(key, dumps_doc({"v": 1}))
-        doc = store.get_document(key)
-        assert doc.key == key
-        assert doc.written_at.tzinfo is not None
 
     def test_put_rejects_malformed_bodies_without_touching_disk(self, store: FileStore) -> None:
         key = StoreKey.of("model", "m1")
