@@ -27,7 +27,6 @@ from .data import (
     read_columns,
 )
 from .drift import (
-    DriftMetrics,
     bhattacharyya,
     drift_evaluate,
     ks_critical_distance,
@@ -44,8 +43,6 @@ from .errors import (
     ValidationError,
 )
 from .performance import (
-    VelocityPair,
-    actual_velocity,
     coefficient_of_variation,
     mae,
     wmape,

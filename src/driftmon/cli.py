@@ -17,6 +17,7 @@ import os
 import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from .core import (
     LogRecord,
@@ -217,24 +218,18 @@ def _print_csv(header: list[str], rows: list[list[str]]) -> None:
     sys.stdout.write(buffer.getvalue())
 
 
-def _emit_metrics(records: list[MetricRecord], fmt: str) -> None:
+def _emit(
+    records: list[MetricRecord] | list[LogRecord],
+    table_rows: Callable[..., tuple[list[str], list[list[str]]]],
+    fmt: str,
+) -> None:
+    """Print ``records`` as canonical documents, or as the csv or table
+    rendering of the ``(header, rows)`` that ``table_rows`` builds."""
     if fmt == "doc":
         for r in records:
             sys.stdout.write(dumps_doc(r.to_doc()))
         return
-    header, rows = _metric_table_rows(records)
-    if fmt == "csv":
-        _print_csv(header, rows)
-    else:
-        _print_table(header, rows)
-
-
-def _emit_logs(records: list[LogRecord], fmt: str) -> None:
-    if fmt == "doc":
-        for r in records:
-            sys.stdout.write(dumps_doc(r.to_doc()))
-        return
-    header, rows = _log_table_rows(records)
+    header, rows = table_rows(records)
     if fmt == "csv":
         _print_csv(header, rows)
     else:
@@ -288,12 +283,12 @@ def _cmd_run_monitor(service: MonitoringService, args) -> None:
             raise ValidationError("performance monitors need --sales pointing at daily sales")
         sales = open_dataset(_data_path(args, args.sales), DatasetKind.DAILY_SALES)
     records = service.run_monitor(args.model, args.monitor, args.eval_date, data, sales)
-    _emit_metrics(records, args.format)
+    _emit(records, _metric_table_rows, args.format)
 
 
 def _cmd_get_metrics(service: MonitoringService, args) -> None:
     records = service.get_metrics(args.model, args.monitor, args.date_from, args.date_to)
-    _emit_metrics(records, args.format)
+    _emit(records, _metric_table_rows, args.format)
 
 
 def _cmd_set_reaction(service: MonitoringService, args) -> None:
@@ -321,7 +316,7 @@ def _cmd_run_reaction(service: MonitoringService, args) -> None:
 
 def _cmd_get_logs(service: MonitoringService, args) -> None:
     records = service.get_logs(args.model, args.reaction, args.from_ts, args.to_ts)
-    _emit_logs(records, args.format)
+    _emit(records, _log_table_rows, args.format)
 
 
 def _cmd_delete(service: MonitoringService, args) -> None:

@@ -462,8 +462,10 @@ class MonitoringService:
         Drift monitors compare each quantity's current summary against its
         stored baseline.  Performance monitors additionally need the daily
         sales handle to realise actual velocities.  Records are computed
-        for every quantity before anything is written, so a failure never
-        leaves a partial day behind.
+        for every quantity before anything is written, so a bad input or a
+        missing baseline writes nothing.  The day is then written one
+        document per quantity, so a storage failure while writing can leave
+        part of the day stored.
         """
         config = self.get_monitor(model_id, monitor_id)
         if config.kind is MonitorKind.DRIFT:
@@ -492,23 +494,18 @@ class MonitoringService:
         computed_at = _iso_seconds(_now())
         records = []
         for current in self._summarise(data, config):
-            quantity = current.label
-            result = drift_evaluate(baselines[quantity], current, eval_date, config.density_bins)
+            baseline = baselines[current.label]
             records.append(
                 MetricRecord(
                     model_id=config.model_id,
                     monitor_id=config.monitor_id,
                     eval_date=eval_date,
-                    quantity=quantity,
-                    metrics={
-                        "bhattacharyya_coefficient": result.bc,
-                        "ks_distance": result.d_ks,
-                        "ks_p_value": result.p_value,
-                    },
+                    quantity=current.label,
+                    metrics=drift_evaluate(baseline, current, config.density_bins),
                     context={
                         "computed_at": computed_at,
-                        "n_baseline": result.n_baseline,
-                        "n_current": result.n_current,
+                        "n_baseline": baseline.sample_count,
+                        "n_current": current.sample_count,
                     },
                 )
             )
@@ -528,13 +525,14 @@ class MonitoringService:
             raise PreconditionError(
                 f"no predictions found for {eval_date.isoformat()} in {data.path}"
             )
+        predicted, actual = zip(*pairs.values())
         return [
             MetricRecord(
                 model_id=config.model_id,
                 monitor_id=config.monitor_id,
                 eval_date=eval_date,
                 quantity=VELOCITY_QUANTITY,
-                metrics={"mae": mae(pairs), "wmape": wmape(pairs)},
+                metrics={"mae": mae(predicted, actual), "wmape": wmape(predicted, actual)},
                 context={
                     "computed_at": _iso_seconds(_now()),
                     "n": len(pairs),

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .errors import PreconditionError, SchemaError, StorageError, ValidationError
-from .performance import VELOCITY_WINDOW_DAYS, VelocityPair, actual_velocity
+from .performance import VELOCITY_WINDOW_DAYS
 
 __all__ = [
     "DatasetKind",
@@ -143,14 +143,16 @@ def assemble_velocity_pairs(
     predictions: DatasetHandle,
     sales: DatasetHandle,
     forecast_date: date,
-) -> tuple[list[VelocityPair], int]:
+) -> tuple[dict[str, tuple[float, float]], int]:
     """Join forecasts with realised 7-day velocities.
 
     Takes each unit predicted for ``forecast_date`` and averages its sales
     over the window starting that day, treating absent unit-days as zero.
-    Returns the pairs (sorted by unit id) and the count of predicted units
-    excluded because their prediction cell was blank.  Duplicate prediction
-    rows for a unit keep the last one.
+    Returns ``unit_id -> (predicted, actual)`` velocities, in unit-id order,
+    and the count of predicted units excluded because their prediction cell
+    was blank.  Duplicate prediction rows for a unit keep the last one.
+    Every velocity is finite and non-negative: ``_number`` rejects any
+    other cell.
     """
     if predictions.kind is DatasetKind.DAILY_SALES:
         raise ValidationError("predictions handle must be a training or daily_inference dataset")
@@ -195,13 +197,8 @@ def assemble_velocity_pairs(
             f"the {VELOCITY_WINDOW_DAYS}-day window from {target} is incomplete"
         )
 
-    no_sales = [0.0] * VELOCITY_WINDOW_DAYS
-    pairs = [
-        VelocityPair(
-            unit_id=unit,
-            predicted=predicted[unit],
-            actual=actual_velocity(daily.get(unit, no_sales)),
-        )
+    pairs = {
+        unit: (predicted[unit], math.fsum(daily.get(unit, ())) / VELOCITY_WINDOW_DAYS)
         for unit in sorted(predicted)
-    ]
+    }
     return pairs, excluded

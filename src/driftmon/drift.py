@@ -10,8 +10,6 @@ smoothly from 1 (identical) to 0 (disjoint).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
@@ -19,7 +17,6 @@ from .errors import ValidationError
 from .summary import ApproxCdf, density_from_cdf
 
 __all__ = [
-    "DriftMetrics",
     "ks_distance",
     "ks_p_value",
     "ks_critical_distance",
@@ -32,19 +29,6 @@ _SERIES_TERM_FLOOR = 1e-12
 _SERIES_MAX_TERMS = 200
 #: Effective sample scales at or below this are indistinguishable from zero.
 _LAMBDA_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class DriftMetrics:
-    """One drift comparison between a baseline and a current summary."""
-
-    quantity_label: str
-    eval_date: date
-    d_ks: float
-    p_value: float
-    bc: float
-    n_baseline: int
-    n_current: int
 
 
 def ks_distance(f: ApproxCdf, g: ApproxCdf) -> float:
@@ -138,28 +122,21 @@ def bhattacharyya(f: ApproxCdf, g: ApproxCdf, bins: int = 100) -> float:
     return min(max(coefficient, 0.0), 1.0)
 
 
-def drift_evaluate(
-    baseline: ApproxCdf,
-    current: ApproxCdf,
-    eval_date: date,
-    bins: int = 100,
-) -> DriftMetrics:
+def drift_evaluate(baseline: ApproxCdf, current: ApproxCdf, bins: int = 100) -> dict[str, float]:
     """Compare a current summary against its baseline for one quantity.
 
-    Both summaries must describe the same quantity; comparing unrelated
-    labels is a configuration mistake, not a statistical result.
+    Returns the three stored drift metrics: ``bhattacharyya_coefficient``,
+    ``ks_distance`` and ``ks_p_value``.  Both summaries must describe the
+    same quantity; comparing unrelated labels is a configuration mistake,
+    not a statistical result.
     """
     if baseline.label != current.label:
         raise ValidationError(
             f"summary labels do not match: baseline {baseline.label!r} vs current {current.label!r}"
         )
     d = ks_distance(baseline, current)
-    return DriftMetrics(
-        quantity_label=current.label,
-        eval_date=eval_date,
-        d_ks=d,
-        p_value=ks_p_value(d, baseline.sample_count, current.sample_count),
-        bc=bhattacharyya(baseline, current, bins),
-        n_baseline=baseline.sample_count,
-        n_current=current.sample_count,
-    )
+    return {
+        "bhattacharyya_coefficient": bhattacharyya(baseline, current, bins),
+        "ks_distance": d,
+        "ks_p_value": ks_p_value(d, baseline.sample_count, current.sample_count),
+    }

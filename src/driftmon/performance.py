@@ -9,15 +9,13 @@ defined instead of blowing up the percentage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ValidationError
 
 __all__ = [
     "VELOCITY_WINDOW_DAYS",
     "WMAPE_OFFSET",
-    "VelocityPair",
-    "actual_velocity",
     "mae",
     "wmape",
     "coefficient_of_variation",
@@ -31,55 +29,35 @@ VELOCITY_WINDOW_DAYS = 7
 WMAPE_OFFSET = 1.0
 
 
-@dataclass(frozen=True)
-class VelocityPair:
-    """Predicted and realised velocity for one unit."""
-
-    unit_id: str
-    predicted: float
-    actual: float
-
-    def __post_init__(self) -> None:
-        for name in ("predicted", "actual"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0.0:
+def _check_velocities(metric: str, predicted: Sequence[float], actual: Sequence[float]) -> None:
+    """Reject velocity lists that cannot be scored: unequal lengths, no
+    pairs at all, or any value that is non-finite or negative."""
+    if len(predicted) != len(actual):
+        raise ValidationError(
+            f"{metric} needs one actual per prediction, got {len(predicted)} predicted "
+            f"and {len(actual)} actual velocities"
+        )
+    if not predicted:
+        raise ValidationError(f"{metric} requires at least one velocity pair")
+    for name, values in (("predicted", predicted), ("actual", actual)):
+        for v in values:
+            if not (isinstance(v, (int, float)) and 0.0 <= v < math.inf):
                 raise ValidationError(
                     f"{name} velocity must be finite and non-negative, got {v!r}"
                 )
 
 
-def actual_velocity(daily_sales: list[float]) -> float:
-    """Average units per day over one full 7-day window.
-
-    Exactly seven entries are required; days with no sales must be passed
-    as explicit zeros so a short list always signals missing ground truth.
-    """
-    if len(daily_sales) != VELOCITY_WINDOW_DAYS:
-        raise ValidationError(
-            f"velocity window must contain exactly {VELOCITY_WINDOW_DAYS} days, "
-            f"got {len(daily_sales)}"
-        )
-    for v in daily_sales:
-        if not math.isfinite(v) or v < 0.0:
-            raise ValidationError(f"daily sales must be finite and non-negative, got {v!r}")
-    return math.fsum(daily_sales) / VELOCITY_WINDOW_DAYS
+def mae(predicted: Sequence[float], actual: Sequence[float]) -> float:
+    """Mean absolute error of predicted vs actual velocity, unit by unit."""
+    _check_velocities("mae", predicted, actual)
+    return math.fsum(abs(p - a) for p, a in zip(predicted, actual)) / len(predicted)
 
 
-def mae(pairs: list[VelocityPair]) -> float:
-    """Mean absolute error of predicted vs actual velocity."""
-    if not pairs:
-        raise ValidationError("mae requires at least one velocity pair")
-    return math.fsum(abs(p.predicted - p.actual) for p in pairs) / len(pairs)
-
-
-def wmape(pairs: list[VelocityPair]) -> float:
+def wmape(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Mean percentage error weighted against ``actual + 1`` per unit."""
-    if not pairs:
-        raise ValidationError("wmape requires at least one velocity pair")
-    total = math.fsum(
-        abs(p.predicted - p.actual) / (p.actual + WMAPE_OFFSET) for p in pairs
-    )
-    return total / len(pairs) * 100.0
+    _check_velocities("wmape", predicted, actual)
+    total = math.fsum(abs(p - a) / (a + WMAPE_OFFSET) for p, a in zip(predicted, actual))
+    return total / len(predicted) * 100.0
 
 
 def coefficient_of_variation(values: list[float]) -> float:

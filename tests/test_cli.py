@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from driftmon import loads_doc
+from driftmon import dumps_doc, loads_doc
 from driftmon.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -267,6 +267,28 @@ class TestReactionCommands:
         assert log["severity"] == "alert"
         assert log["body"]["fired"] is True
         assert set(log["body"]["values"]) == {"f1", "prediction"}
+
+        # The same log as csv and table rows: seconds-precision timestamp and
+        # the body as its canonical one-line document.
+        header = ["model_id", "reaction_id", "created_at", "severity", "body"]
+        row = ["m1", "r1", log["created_at"][:19] + "Z", "alert", dumps_doc(log["body"]).rstrip()]
+        code, out, _ = cli(
+            "get-logs", "--store", store, "--model", "m1", "--reaction", "r1",
+            "--format", "csv",
+        )
+        assert code == EXIT_OK
+        assert out.endswith("\r\n")
+        assert list(csv.reader(io.StringIO(out))) == [header, row]
+        code, out, _ = cli(
+            "get-logs", "--store", store, "--model", "m1", "--reaction", "r1",
+            "--format", "table",
+        )
+        assert code == EXIT_OK
+        widths = [max(len(h), len(c)) for h, c in zip(header, row)]
+        assert out == "".join(
+            "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+            for line in (header, row)
+        )
 
     def test_report_lifecycle(self, workspace, cli) -> None:
         store, _ = workspace

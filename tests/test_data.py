@@ -162,10 +162,16 @@ class TestAssembleVelocityPairs:
         )
         pairs, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
         assert excluded == 0
-        assert len(pairs) == 1
-        assert pairs[0].unit_id == "u1"
-        assert pairs[0].predicted == 1.0
-        assert pairs[0].actual == 1.0
+        assert pairs == {"u1": (1.0, 1.0)}
+
+    def test_steady_sales_of_seven_a_day_mean_velocity_seven(self, tmp_path: Path) -> None:
+        pred, sales = self.handles(
+            tmp_path,
+            PREDICTION_HEADER + "u1,2022-03-20,1.0,0.0\n",
+            self.full_window({day: [("u1", 7.0)] for day in self.WINDOW}),
+        )
+        pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        assert pairs == {"u1": (1.0, 7.0)}
 
     def test_unit_without_sales_rows_has_zero_velocity(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -174,8 +180,7 @@ class TestAssembleVelocityPairs:
             self.full_window(),
         )
         pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
-        assert pairs[0].actual == 0.0
-        assert pairs[0].predicted == 2.5
+        assert pairs == {"u1": (2.5, 0.0)}
 
     def test_duplicate_unit_day_sales_are_summed(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -184,7 +189,7 @@ class TestAssembleVelocityPairs:
             self.full_window({"2022-03-21": [("u1", 3.0), ("u1", 4.0)]}),
         )
         pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
-        assert pairs[0].actual == 1.0
+        assert pairs["u1"][1] == 1.0
 
     def test_sales_outside_window_are_ignored(self, tmp_path: Path) -> None:
         sales_text = self.full_window({"2022-03-20": [("u1", 7.0)]})
@@ -193,7 +198,7 @@ class TestAssembleVelocityPairs:
             tmp_path, PREDICTION_HEADER + "u1,2022-03-20,1.0,0.0\n", sales_text
         )
         pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
-        assert pairs[0].actual == 1.0
+        assert pairs["u1"][1] == 1.0
 
     def test_blank_predictions_are_excluded_and_counted(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -204,7 +209,7 @@ class TestAssembleVelocityPairs:
         )
         pairs, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
         assert excluded == 1
-        assert [p.unit_id for p in pairs] == ["u1", "u3"]
+        assert list(pairs) == ["u1", "u3"]
 
     def test_duplicate_prediction_rows_keep_the_last(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -214,7 +219,7 @@ class TestAssembleVelocityPairs:
         )
         pairs, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
         assert excluded == 0
-        assert pairs[0].predicted == 4.0
+        assert pairs["u1"][0] == 4.0
 
     def test_output_is_sorted_by_unit_id(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -224,7 +229,7 @@ class TestAssembleVelocityPairs:
             self.full_window(),
         )
         pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
-        assert [p.unit_id for p in pairs] == ["aa", "mm", "zz"]
+        assert list(pairs) == ["aa", "mm", "zz"]
 
     def test_missing_window_day_is_a_precondition_error(self, tmp_path: Path) -> None:
         days = {d: [("filler", 0.0)] for d in self.WINDOW if d != "2022-03-23"}
@@ -340,12 +345,8 @@ class TestGenerateSynthetic:
             train, infer, _ = generate_synthetic(
                 SynthSpec(n_units=10_000, seed=seed), tmp_path / f"cal{seed}"
             )
-            result = drift_evaluate(
-                summarize_column(train, "f1"),
-                summarize_column(infer, "f1"),
-                date(2022, 3, 20),
-            )
-            below += result.d_ks < critical
+            result = drift_evaluate(summarize_column(train, "f1"), summarize_column(infer, "f1"))
+            below += result["ks_distance"] < critical
         assert below >= 0.9 * len(seeds)
 
     def test_injected_shift_raises_distance_and_lowers_overlap(self, tmp_path: Path) -> None:
@@ -359,10 +360,8 @@ class TestGenerateSynthetic:
                 SynthSpec(n_units=4000, location_shift=shift, seed=11),
                 tmp_path / f"shift{shift}",
             )
-            result = drift_evaluate(
-                baseline, summarize_column(infer, "f1"), date(2022, 3, 20)
-            )
-            distances.append(result.d_ks)
-            overlaps.append(result.bc)
+            result = drift_evaluate(baseline, summarize_column(infer, "f1"))
+            distances.append(result["ks_distance"])
+            overlaps.append(result["bhattacharyya_coefficient"])
         assert distances == sorted(distances)
         assert overlaps == sorted(overlaps, reverse=True)

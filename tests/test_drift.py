@@ -8,7 +8,6 @@ scipy's Kolmogorov tail function for the p-value series.
 from __future__ import annotations
 
 import math
-from datetime import date
 
 import numpy as np
 import pytest
@@ -182,21 +181,36 @@ class TestDriftEvaluate:
         rng = np.random.default_rng(12)
         f = summarize(rng.normal(0, 1, 3000), label="feat")
         g = summarize(rng.normal(0.5, 1, 3000), label="feat")
-        when = date(2022, 3, 20)
-        result = drift_evaluate(f, g, when)
-        assert result.quantity_label == "feat"
-        assert result.eval_date == when
-        assert result.d_ks == ks_distance(f, g)
-        assert result.p_value == ks_p_value(result.d_ks, 3000, 3000)
-        assert result.bc == bhattacharyya(f, g)
-        assert result.n_baseline == 3000
-        assert result.n_current == 3000
+        d = ks_distance(f, g)
+        assert drift_evaluate(f, g) == {
+            "bhattacharyya_coefficient": bhattacharyya(f, g),
+            "ks_distance": d,
+            "ks_p_value": ks_p_value(d, 3000, 3000),
+        }
 
     def test_label_mismatch_is_rejected(self) -> None:
         f = summarize([1.0, 2.0], label="a")
         g = summarize([1.0, 2.0], label="b")
         with pytest.raises(ValidationError, match="label"):
-            drift_evaluate(f, g, date(2022, 3, 20))
+            drift_evaluate(f, g)
+
+    def test_null_pairs_track_the_exact_test_and_rarely_alarm(self) -> None:
+        """Same-distribution pairs through the production summary (eps 0.001,
+        100 points) at n = 10k: every distance is within the criterion-4
+        budget of scipy's exact statistic on the raw samples, and at most 6
+        of 40 pairs alarm at p < 0.05, the 99th percentile of Bin(40, 0.05)."""
+        n = 10_000
+        alarms = 0
+        for seed in range(1000, 1040):
+            rng = np.random.default_rng(seed)
+            x, y = rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n)
+            result = drift_evaluate(
+                summarize(x, epsilon=0.001, points=100), summarize(y, epsilon=0.001, points=100)
+            )
+            exact = stats.ks_2samp(x, y).statistic
+            assert abs(result["ks_distance"] - exact) <= 0.02, seed
+            alarms += result["ks_p_value"] < 0.05
+        assert alarms <= 6
 
     def test_growing_shift_moves_both_metrics(self) -> None:
         rng = np.random.default_rng(14)
@@ -206,8 +220,8 @@ class TestDriftEvaluate:
         distances, overlaps = [], []
         for shift in (0.0, 0.5, 1.0, 2.0):
             current = summarize(noise + shift, label="f")
-            result = drift_evaluate(baseline, current, date(2022, 3, 20))
-            distances.append(result.d_ks)
-            overlaps.append(result.bc)
+            result = drift_evaluate(baseline, current)
+            distances.append(result["ks_distance"])
+            overlaps.append(result["bhattacharyya_coefficient"])
         assert distances == sorted(distances)
         assert overlaps == sorted(overlaps, reverse=True)

@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 
 from driftmon import (
     ValidationError,
-    VelocityPair,
-    actual_velocity,
     coefficient_of_variation,
     mae,
     wmape,
@@ -19,58 +17,52 @@ from driftmon import (
 velocities = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
-def pairs_of(values: list[tuple[float, float]]) -> list[VelocityPair]:
-    return [
-        VelocityPair(unit_id=f"u{i}", predicted=p, actual=v)
-        for i, (p, v) in enumerate(values)
-    ]
+def split(pairs: list[tuple[float, float]]) -> tuple[list[float], list[float]]:
+    """The predicted and the actual velocities of ``(predicted, actual)`` pairs."""
+    return [p for p, _ in pairs], [a for _, a in pairs]
 
 
-class TestVelocityPair:
+class TestVelocityChecks:
     def test_rejects_negative_values(self) -> None:
-        with pytest.raises(ValidationError, match="predicted"):
-            VelocityPair(unit_id="u", predicted=-0.1, actual=0.0)
-        with pytest.raises(ValidationError, match="actual"):
-            VelocityPair(unit_id="u", predicted=0.0, actual=-0.1)
+        for metric in (mae, wmape):
+            with pytest.raises(ValidationError, match="predicted"):
+                metric([1.0, -0.1], [0.0, 0.0])
+            with pytest.raises(ValidationError, match="actual"):
+                metric([0.0, 0.0], [1.0, -0.1])
 
     def test_rejects_non_finite_values(self) -> None:
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValidationError):
-                VelocityPair(unit_id="u", predicted=bad, actual=1.0)
-            with pytest.raises(ValidationError):
-                VelocityPair(unit_id="u", predicted=1.0, actual=bad)
+        for metric in (mae, wmape):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValidationError):
+                    metric([bad], [1.0])
+                with pytest.raises(ValidationError):
+                    metric([1.0], [bad])
 
-
-class TestActualVelocity:
-    def test_window_must_hold_exactly_seven_days(self) -> None:
-        for n in (0, 6, 8):
-            with pytest.raises(ValidationError, match="7 days"):
-                actual_velocity([1.0] * n)
-
-    def test_hand_examples(self) -> None:
-        assert actual_velocity([0.0] * 7) == 0.0
-        assert actual_velocity([7.0] * 7) == 7.0
-        assert actual_velocity([0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0]) == 1.0
+    def test_rejects_unequal_lengths(self) -> None:
+        for metric in (mae, wmape):
+            with pytest.raises(ValidationError, match="2 predicted and 1 actual"):
+                metric([1.0, 2.0], [1.0])
+            with pytest.raises(ValidationError, match="0 predicted and 1 actual"):
+                metric([], [1.0])
 
 
 class TestMae:
     def test_empty_input_rejected(self) -> None:
         with pytest.raises(ValidationError, match="at least one"):
-            mae([])
+            mae([], [])
 
     def test_perfect_forecast_is_zero(self) -> None:
-        assert mae(pairs_of([(1.0, 1.0), (3.5, 3.5)])) == 0.0
+        assert mae(*split([(1.0, 1.0), (3.5, 3.5)])) == 0.0
 
     def test_hand_examples(self) -> None:
-        assert mae(pairs_of([(2.0, 1.0), (4.0, 2.0)])) == pytest.approx(1.5, abs=1e-12)
-        assert mae(pairs_of([(0.0, 5.0)])) == pytest.approx(5.0, abs=1e-12)
+        assert mae(*split([(2.0, 1.0), (4.0, 2.0)])) == pytest.approx(1.5, abs=1e-12)
+        assert mae(*split([(0.0, 5.0)])) == pytest.approx(5.0, abs=1e-12)
 
     @given(st.lists(st.tuples(velocities, velocities), min_size=1, max_size=20), st.randoms())
     def test_permutation_invariance(self, raw, rand) -> None:
-        items = pairs_of(raw)
-        shuffled = items[:]
+        shuffled = raw[:]
         rand.shuffle(shuffled)
-        assert mae(shuffled) == pytest.approx(mae(items), rel=1e-12, abs=1e-12)
+        assert mae(*split(shuffled)) == pytest.approx(mae(*split(raw)), rel=1e-12, abs=1e-12)
 
     @given(
         st.lists(st.tuples(velocities, velocities), min_size=1, max_size=10),
@@ -78,41 +70,40 @@ class TestMae:
     )
     def test_homogeneity_under_scaling(self, raw, c) -> None:
         """Scaling every velocity by c scales the error by exactly c."""
-        items = pairs_of(raw)
-        scaled = pairs_of([(p * c, v * c) for p, v in raw])
-        assert mae(scaled) == pytest.approx(c * mae(items), rel=1e-9, abs=1e-9)
+        scaled = [(p * c, v * c) for p, v in raw]
+        assert mae(*split(scaled)) == pytest.approx(c * mae(*split(raw)), rel=1e-9, abs=1e-9)
 
 
 class TestWmape:
     def test_empty_input_rejected(self) -> None:
         with pytest.raises(ValidationError, match="at least one"):
-            wmape([])
+            wmape([], [])
 
     def test_perfect_forecast_is_zero(self) -> None:
-        assert wmape(pairs_of([(2.0, 2.0), (0.0, 0.0)])) == 0.0
+        assert wmape(*split([(2.0, 2.0), (0.0, 0.0)])) == 0.0
 
     def test_defined_when_actuals_are_zero(self) -> None:
-        assert wmape(pairs_of([(1.0, 0.0), (1.0, 0.0)])) == pytest.approx(100.0, abs=1e-12)
+        assert wmape(*split([(1.0, 0.0), (1.0, 0.0)])) == pytest.approx(100.0, abs=1e-12)
 
     def test_hand_example(self) -> None:
-        assert wmape(pairs_of([(2.0, 1.0), (0.0, 0.0)])) == pytest.approx(25.0, abs=1e-12)
+        assert wmape(*split([(2.0, 1.0), (0.0, 0.0)])) == pytest.approx(25.0, abs=1e-12)
 
     @given(st.lists(st.tuples(velocities, velocities), min_size=1, max_size=20), st.randoms())
     def test_permutation_invariance(self, raw, rand) -> None:
-        items = pairs_of(raw)
-        shuffled = items[:]
+        shuffled = raw[:]
         rand.shuffle(shuffled)
-        assert wmape(shuffled) == pytest.approx(wmape(items), rel=1e-12, abs=1e-12)
+        assert wmape(*split(shuffled)) == pytest.approx(wmape(*split(raw)), rel=1e-12, abs=1e-12)
 
     @given(st.lists(st.tuples(velocities, velocities), min_size=1, max_size=12))
     def test_decomposes_into_single_pair_means(self, raw) -> None:
         """The N-pair value is the arithmetic mean of single-pair values."""
-        items = pairs_of(raw)
-        singles = [wmape([item]) for item in items]
-        assert wmape(items) == pytest.approx(math.fsum(singles) / len(singles), rel=1e-9, abs=1e-9)
+        singles = [wmape([p], [a]) for p, a in raw]
+        assert wmape(*split(raw)) == pytest.approx(
+            math.fsum(singles) / len(singles), rel=1e-9, abs=1e-9
+        )
 
     def test_non_negative(self) -> None:
-        assert wmape(pairs_of([(0.0, 9.0), (9.0, 0.0)])) >= 0.0
+        assert wmape(*split([(0.0, 9.0), (9.0, 0.0)])) >= 0.0
 
 
 class TestCoefficientOfVariation:
