@@ -59,6 +59,11 @@ _COMPARATORS: dict[str, Callable[[float, float], bool]] = {
     ">=": operator.ge,
 }
 
+#: Rows read between two batched sketch updates.  The buffered values are
+#: held in memory, and larger chunks raise a run's peak memory for little
+#: time saved, so the chunk stays small whatever the file size.
+_EXTEND_ROWS = 256
+
 #: Entity kinds that ``MonitoringService.delete`` removes.
 _DELETABLE_KINDS = ("monitor", "metrics", "reaction", "logs")
 
@@ -434,11 +439,17 @@ class MonitoringService:
     def _summarise(data: DatasetHandle, config: MonitorConfig) -> list[ApproxCdf]:
         """One summary per configured quantity, from a single read of ``data``."""
         sketches = [QuantileSketch(config.epsilon) for _ in config.quantities]
-        inserts = [sketch.insert for sketch in sketches]
-        for row in read_columns(data, config.quantities):
-            for insert, value in zip(inserts, row):
+        buffers: list[list[float]] = [[] for _ in config.quantities]
+        for rows_read, row in enumerate(read_columns(data, config.quantities), 1):
+            for buffer, value in zip(buffers, row):
                 if value is not None:
-                    insert(value)
+                    buffer.append(value)
+            if rows_read % _EXTEND_ROWS == 0:
+                for sketch, buffer in zip(sketches, buffers):
+                    sketch.extend(buffer)
+                    buffer.clear()
+        for sketch, buffer in zip(sketches, buffers):
+            sketch.extend(buffer)
         for quantity, sketch in zip(config.quantities, sketches):
             if sketch.count == 0:
                 raise PreconditionError(

@@ -14,19 +14,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import repeat
 from operator import itemgetter
+
+import numpy as np
 
 from .errors import EmptySummaryError, ValidationError
 
 __all__ = ["QuantileSketch"]
-
-
-def _band(delta: int, p: int) -> int:
-    """Age class of a tuple: 0 for the newest (delta == p), growing as
-    capacity ``p - delta`` grows.  Merges only fold newer tuples into
-    older ones, which keeps the summary size logarithmic in ``n``."""
-    capacity = max(p - delta, 0) + 1
-    return capacity.bit_length() - 1
 
 
 class QuantileSketch:
@@ -84,36 +80,87 @@ class QuantileSketch:
         if self._count % self._compress_period == 0:
             self._compress()
 
+    def extend(self, values: Sequence[float]) -> None:
+        """Add ``values`` to the stream in order.
+
+        The summary ends exactly as calling ``insert`` once per value would
+        leave it, tuple for tuple, but the values between two compressions
+        are sorted and merged in one step.  A non-finite value rejects the
+        whole call before anything is added.
+        """
+        batch = np.asarray(values, dtype=np.float64)
+        if batch.ndim != 1:
+            raise ValidationError(f"observations must form a 1-D sequence, got shape {batch.shape}")
+        if not batch.size:
+            return
+        tuples = self._tuples
+        # low[i] and high[i] are the minimum and maximum before batch[i]; a
+        # nan or infinity anywhere reaches the last of them.
+        low = np.minimum.accumulate(np.concatenate(([tuples[0][0] if tuples else math.inf], batch)))
+        high = np.maximum.accumulate(np.concatenate(([tuples[-1][0] if tuples else -math.inf], batch)))
+        if not (math.isfinite(low[-1]) and math.isfinite(high[-1])):
+            bad = np.flatnonzero(~np.isfinite(batch))
+            raise ValidationError(
+                f"observation {bad[0]} must be finite, got {float(batch[bad[0]])!r}"
+            )
+        # insert gives delta 0 to a value below every earlier value or at
+        # least as large as all of them, and otherwise the budget at its count.
+        counts = np.arange(self._count, self._count + batch.size, dtype=np.float64)
+        deltas = np.maximum(np.floor((2.0 * self._epsilon) * counts) - 1.0, 0.0).astype(np.int64)
+        deltas[(batch < low[:-1]) | (batch >= high[:-1])] = 0
+        period = self._compress_period
+        start = 0
+        while start < batch.size:
+            # Merge the values up to the next compression in one sort.  The
+            # sort is stable and the older tuples come first, so equal values
+            # keep arrival order, as bisect_right does in insert.
+            stop = min(start + period - self._count % period, batch.size)
+            new = zip(batch[start:stop].tolist(), repeat(1), deltas[start:stop].tolist())
+            self._tuples = sorted(self._tuples + list(new), key=itemgetter(0))
+            self._count += stop - start
+            if self._count % period == 0:
+                self._compress()
+            start = stop
+
     def _compress(self) -> None:
         """Merge adjacent tuples whose combined rank uncertainty stays
         within ``floor(2 * epsilon * count)``.
 
         Walks right to left, folding a tuple together with its block of
         newer left neighbours (those with larger delta) into the tuple to
-        its right.  The extreme tuples are never removed, so the exact
-        minimum and maximum always survive.
+        its right, the head.  A tuple is folded only if its band, its age
+        class, is no greater than the head's: band 0 is the newest
+        (delta == p) and the band grows with the capacity ``p - delta``.
+        Merges thus only fold newer tuples into older ones, which keeps the
+        summary size logarithmic in ``n``.  The extreme tuples are never
+        removed, so the exact minimum and maximum always survive.
         """
         tuples = self._tuples
         if len(tuples) < 3:
             return
         p = math.floor(2.0 * self._epsilon * self._count)
-        out = [tuples[-1]]
+        bands = [(p - d + 1 if d < p else 1).bit_length() - 1 for _, _, d in tuples]
+        head_value, head_g, head_delta = tuples[-1]
+        head_band = bands[-1]
+        out = []
         i = len(tuples) - 2
         while i >= 1:
             value, g, delta = tuples[i]
-            head_value, head_g, head_delta = out[-1]
-            if _band(delta, p) <= _band(head_delta, p):
+            band = bands[i]
+            if band <= head_band:
                 g_block = g
                 j = i - 1
                 while j >= 1 and tuples[j][2] > delta:
                     g_block += tuples[j][1]
                     j -= 1
                 if g_block + head_g + head_delta <= p:
-                    out[-1] = (head_value, head_g + g_block, head_delta)
+                    head_g += g_block
                     i = j
                     continue
-            out.append((value, g, delta))
+            out.append((head_value, head_g, head_delta))
+            head_value, head_g, head_delta, head_band = value, g, delta, band
             i -= 1
+        out.append((head_value, head_g, head_delta))
         out.append(tuples[0])
         out.reverse()
         self._tuples = out

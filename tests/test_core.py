@@ -32,7 +32,7 @@ from driftmon import (
     open_dataset,
     read_columns,
 )
-from driftmon.core import stride_sample
+from driftmon.core import _EXTEND_ROWS, stride_sample
 
 FORECAST = date(2022, 3, 20)
 
@@ -166,6 +166,57 @@ class TestSnapshotBaseline:
         service.set_monitor(MonitorConfig("p1", "m1", MonitorKind.PERFORMANCE))
         with pytest.raises(PreconditionError, match="drift"):
             service.snapshot_baseline("m1", "p1", open_dataset(train, "training"))
+
+
+    @staticmethod
+    def write_columns(path: Path, cells: dict[str, list[str]]) -> Path:
+        names = list(cells)
+        lines = [",".join(["unit_id", "eval_date", *names])]
+        for i, row in enumerate(zip(*cells.values())):
+            lines.append(",".join([f"u{i}", "2022-03-07", *row]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_chunked_reading_matches_a_sketch_fed_by_insert(
+        self, service: MonitoringService, tmp_path: Path
+    ) -> None:
+        """Three chunks of rows and a remainder, with scattered blanks in f1
+        and f2 blank for the whole second chunk."""
+        rows = 3 * _EXTEND_ROWS + 77
+        rng = np.random.default_rng(23)
+        cells = {
+            name: [repr(float(v)) for v in rng.normal(mean, 1.0, rows)]
+            for name, mean in (("prediction", 3.0), ("f1", 0.0), ("f2", -5.0))
+        }
+        for i in rng.choice(rows, 150, replace=False):
+            cells["f1"][i] = ""
+        cells["f2"][_EXTEND_ROWS : 2 * _EXTEND_ROWS] = [""] * _EXTEND_ROWS
+        train = self.write_columns(tmp_path / "t.csv", cells)
+        service.register_model("m1")
+        config = MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1", "f2", "prediction"))
+        service.set_monitor(config)
+        summaries = service.snapshot_baseline("m1", "d1", open_dataset(train, "training"))
+        expected = []
+        for quantity in config.quantities:
+            sketch = QuantileSketch(config.epsilon)
+            for cell in cells[quantity]:
+                if cell:
+                    sketch.insert(float(cell))
+            expected.append(build_cdf(sketch, config.cdf_points, quantity))
+        assert [s.sample_count for s in summaries] == [rows - 150, rows - _EXTEND_ROWS, rows]
+        assert summaries == expected
+
+    def test_an_all_blank_column_holds_no_usable_values(
+        self, service: MonitoringService, store: FileStore, tmp_path: Path
+    ) -> None:
+        rows = _EXTEND_ROWS + 5
+        cells = {"prediction": ["1.0"] * rows, "f1": [""] * rows}
+        train = self.write_columns(tmp_path / "t.csv", cells)
+        service.register_model("m1")
+        service.set_monitor(MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("prediction", "f1")))
+        with pytest.raises(PreconditionError, match="'f1' .* holds no usable values"):
+            service.snapshot_baseline("m1", "d1", open_dataset(train, "training"))
+        assert store.list(StoreKey.parse("model/m1/monitor/d1/baseline")) == []
 
 
 class TestRunDriftMonitor:

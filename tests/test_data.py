@@ -45,8 +45,7 @@ def sales_rows(day_units: dict[str, list[tuple[str, float]]]) -> str:
 
 def summarize_column(handle, column: str, epsilon: float = 0.001, points: int = 100):
     sketch = QuantileSketch(epsilon)
-    for (v,) in read_columns(handle, [column]):
-        sketch.insert(v)
+    sketch.extend([v for (v,) in read_columns(handle, [column])])
     return build_cdf(sketch, points, column)
 
 

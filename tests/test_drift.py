@@ -27,8 +27,7 @@ from driftmon import (
 
 def summarize(values, epsilon: float = 0.01, points: int | None = None, label: str = "x"):
     sketch = QuantileSketch(epsilon)
-    for v in values:
-        sketch.insert(float(v))
+    sketch.extend(values)
     return build_cdf(sketch, points if points is not None else min(len(values), 100), label)
 
 
@@ -211,6 +210,19 @@ class TestDriftEvaluate:
             assert abs(result["ks_distance"] - exact) <= 0.02, seed
             alarms += result["ks_p_value"] < 0.05
         assert alarms <= 6
+
+    def test_null_pairs_at_production_size_track_the_exact_test(self) -> None:
+        """The same distance check at production size: four pairs at
+        n = 100k through the monitor's default summary settings."""
+        n = 100_000
+        for seed in range(2000, 2004):
+            rng = np.random.default_rng(seed)
+            x, y = rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n)
+            result = drift_evaluate(
+                summarize(x, epsilon=0.001, points=100), summarize(y, epsilon=0.001, points=100)
+            )
+            exact = stats.ks_2samp(x, y).statistic
+            assert abs(result["ks_distance"] - exact) <= 0.02, seed
 
     def test_growing_shift_moves_both_metrics(self) -> None:
         rng = np.random.default_rng(14)

@@ -8,10 +8,12 @@ target rank ceil(p * count), counting ranks from 1.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftmon import EmptySummaryError, QuantileSketch, ValidationError
 
@@ -193,3 +195,72 @@ def test_interleaved_streams_merge_correctly() -> None:
     for p in (0.1, 0.5, 0.9):
         target = math.ceil(p * n)
         assert rank_error(reference, sketch.query(p), target) <= 0.01 * n
+
+
+def fed_by_insert(epsilon: float, values) -> QuantileSketch:
+    sketch = QuantileSketch(epsilon)
+    for v in values:
+        sketch.insert(v)
+    return sketch
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(
+        st.integers(0, 5).map(float) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=40,
+    ),
+    n=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+    # Periods 1/(2 epsilon) of 1, 1.67, 7.1, 10, 71.4 and 500.
+    epsilon=st.sampled_from([0.5, 0.3, 0.07, 0.05, 0.007, 0.001]),
+    order=st.sampled_from(["drawn", "sorted", "reversed"]),
+    cuts=st.lists(st.integers(0, 400), max_size=12),
+)
+def test_extend_builds_the_tuples_repeated_insert_builds(
+    pool, n, seed, epsilon, order, cuts
+) -> None:
+    """Identical tuples, not merely the same rank bound, for any chunking.
+
+    The stream draws from a small pool of floats, often small integers, so
+    values tie often, and a sorted or reversed stream makes every value a
+    new maximum or minimum or a tie with one.  Hypothesis draws the pool
+    and the length, not each value, which keeps long streams cheap to
+    generate."""
+    values = random.Random(seed).choices(pool, k=n)
+    if order != "drawn":
+        values.sort(reverse=order == "reversed")
+    expected = fed_by_insert(epsilon, values)
+    sketch = QuantileSketch(epsilon)
+    bounds = [0, *sorted(min(cut, n) for cut in cuts), n]
+    for start, stop in zip(bounds, bounds[1:]):
+        sketch.extend(values[start:stop])
+    assert sketch.count == expected.count
+    assert sketch.tuples == expected.tuples
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_extend_rejects_a_non_finite_chunk_whole(bad: float, position: int) -> None:
+    rng = np.random.default_rng(17)
+    before = rng.normal(0.0, 1.0, 120).tolist()
+    sketch = fed_by_insert(0.05, before)
+    chunk = [0.5, -0.5, 1.5, 2.5, -1.5]
+    chunk[position] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        sketch.extend(chunk)
+    assert sketch.count == 120
+    assert sketch.tuples == fed_by_insert(0.05, before).tuples
+    sketch.extend([])
+    assert sketch.count == 120
+    sketch.extend([3.0, -3.0])
+    sketch.insert(0.25)
+    assert sketch.tuples == fed_by_insert(0.05, [*before, 3.0, -3.0, 0.25]).tuples
+
+
+def test_extend_rejects_nested_sequences() -> None:
+    sketch = QuantileSketch(0.1)
+    with pytest.raises(ValidationError, match="1-D"):
+        sketch.extend([[1.0, 2.0]])
+    assert sketch.count == 0
