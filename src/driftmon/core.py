@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
@@ -27,7 +26,7 @@ from .drift import drift_evaluate
 from .errors import NotFoundError, PreconditionError, StorageError, ValidationError
 from .performance import mae, wmape
 from .sketch import QuantileSketch
-from .store import FileStore, StoreKey, dumps_doc, loads_doc
+from .store import _SEGMENT_RE, FileStore, StoreKey, dumps_doc, loads_doc
 from .summary import ApproxCdf, build_cdf
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "LogRecord",
     "MonitoringService",
 ]
-
-_IDENTIFIER_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 #: Default summary resolution used when a drift monitor does not override it.
 DEFAULT_EPSILON = 0.001
@@ -58,11 +55,6 @@ _COMPARATORS: dict[str, Callable[[float, float], bool]] = {
     ">": operator.gt,
     ">=": operator.ge,
 }
-
-#: Rows read between two batched sketch updates.  The buffered values are
-#: held in memory, and larger chunks raise a run's peak memory for little
-#: time saved, so the chunk stays small whatever the file size.
-_EXTEND_ROWS = 256
 
 #: Entity kinds that ``MonitoringService.delete`` removes.
 _DELETABLE_KINDS = ("monitor", "metrics", "reaction", "logs")
@@ -86,9 +78,9 @@ class Severity(str, Enum):
 
 
 def _check_identifier(name: str, value: str) -> None:
-    if not isinstance(value, str) or not _IDENTIFIER_RE.match(value):
+    if not isinstance(value, str) or not _SEGMENT_RE.fullmatch(value):
         raise ValidationError(
-            f"{name} must match [A-Za-z0-9._-]+, got {value!r}"
+            f"{name} must match [A-Za-z0-9._-]+ and be neither '.' nor '..', got {value!r}"
         )
 
 
@@ -439,17 +431,9 @@ class MonitoringService:
     def _summarise(data: DatasetHandle, config: MonitorConfig) -> list[ApproxCdf]:
         """One summary per configured quantity, from a single read of ``data``."""
         sketches = [QuantileSketch(config.epsilon) for _ in config.quantities]
-        buffers: list[list[float]] = [[] for _ in config.quantities]
-        for rows_read, row in enumerate(read_columns(data, config.quantities), 1):
-            for buffer, value in zip(buffers, row):
-                if value is not None:
-                    buffer.append(value)
-            if rows_read % _EXTEND_ROWS == 0:
-                for sketch, buffer in zip(sketches, buffers):
-                    sketch.extend(buffer)
-                    buffer.clear()
-        for sketch, buffer in zip(sketches, buffers):
-            sketch.extend(buffer)
+        for block in read_columns(data, config.quantities):
+            for sketch, values in zip(sketches, block):
+                sketch.extend(values)
         for quantity, sketch in zip(config.quantities, sketches):
             if sketch.count == 0:
                 raise PreconditionError(

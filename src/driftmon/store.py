@@ -29,7 +29,9 @@ __all__ = [
     "format_real",
 ]
 
-_SEGMENT_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+#: One key segment, matched whole.  ``.`` and ``..`` are excluded because a
+#: path would resolve them outside the key's place.
+_SEGMENT_RE = re.compile(r"(?!\.\.?\Z)[A-Za-z0-9._-]+")
 _MAX_SEGMENTS = 8
 _MAX_RENDERED = 512
 _FILE_SUFFIX = ".json"
@@ -47,7 +49,7 @@ class StoreKey:
                 f"keys must have 1..{_MAX_SEGMENTS} segments, got {len(self.segments)}"
             )
         for seg in self.segments:
-            if not _SEGMENT_RE.match(seg):
+            if not _SEGMENT_RE.fullmatch(seg):
                 raise ValidationError(f"invalid key segment {seg!r}")
         if len(self.render()) > _MAX_RENDERED:
             raise ValidationError(f"rendered key exceeds {_MAX_RENDERED} characters")

@@ -107,10 +107,10 @@ def _write_prediction_file(
     with path.open("w", newline="", encoding="utf-8") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        for i, unit in enumerate(unit_ids):
-            row = [unit, iso, repr(float(predictions[i]))]
-            row += [repr(float(v)) for v in features[i]]
-            writer.writerow(row)
+        writer.writerows(
+            [unit, iso, *map(repr, values)]
+            for unit, values in zip(unit_ids, np.column_stack((predictions, features)).tolist())
+        )
 
 
 def generate_synthetic(

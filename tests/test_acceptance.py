@@ -215,8 +215,12 @@ def test_criterion_7_drift_response_is_monotone(verdict, tmp_path: Path) -> None
             out = tmp_path / f"shift-{shift}"
             spec = SynthSpec(n_units=10_000, seed=5, location_shift=shift)
             training, inference, _ = generate_synthetic(spec, out)
-            baseline = summarize((v for (v,) in read_columns(training, ["f1"])), label="f1")
-            current = summarize((v for (v,) in read_columns(inference, ["f1"])), label="f1")
+            baseline = summarize(
+                (v for (values,) in read_columns(training, ["f1"]) for v in values), label="f1"
+            )
+            current = summarize(
+                (v for (values,) in read_columns(inference, ["f1"]) for v in values), label="f1"
+            )
             distances.append(ks_distance(baseline, current))
             overlaps.append(bhattacharyya(baseline, current, bins=100))
         assert all(a <= b for a, b in zip(distances, distances[1:])), distances

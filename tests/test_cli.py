@@ -84,6 +84,21 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "reversed" in err
 
+    def test_dot_segments_are_usage_errors_that_write_nothing(self, tmp_path: Path, cli) -> None:
+        store = tmp_path / "s"
+        code, _, err = cli("register-model", "--store", str(store), "--id", "..")
+        assert code == EXIT_USAGE
+        assert "model_id" in err
+        cli("register-model", "--store", str(store), "--id", "m1")
+        code, _, err = cli(
+            "set-monitor", "--store", str(store), "--model", "..", "--id", "x",
+            "--kind", "performance",
+        )
+        assert code == EXIT_USAGE
+        assert sorted(p.relative_to(store).as_posix() for p in store.rglob("*")) == [
+            "model", "model/m1.json",
+        ]
+
     def test_missing_store_root_is_a_usage_error(self, cli, monkeypatch) -> None:
         monkeypatch.delenv("MON_STORE_ROOT", raising=False)
         code, _, err = cli("register-model", "--id", "m1")

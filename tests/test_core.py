@@ -32,7 +32,8 @@ from driftmon import (
     open_dataset,
     read_columns,
 )
-from driftmon.core import _EXTEND_ROWS, stride_sample
+from driftmon.core import stride_sample
+from driftmon.data import _BLOCK_ROWS
 
 FORECAST = date(2022, 3, 20)
 
@@ -122,6 +123,9 @@ class TestMonitorConfig:
     def test_identifier_charset(self) -> None:
         with pytest.raises(ValidationError, match="monitor_id"):
             MonitorConfig("bad id", "m1", MonitorKind.DRIFT, ("f1",))
+        for dots in (".", ".."):
+            with pytest.raises(ValidationError, match="model_id"):
+                MonitorConfig("d1", dots, MonitorKind.PERFORMANCE)
 
     def test_sketch_parameters_are_validated(self) -> None:
         with pytest.raises(ValidationError, match="epsilon"):
@@ -180,9 +184,9 @@ class TestSnapshotBaseline:
     def test_chunked_reading_matches_a_sketch_fed_by_insert(
         self, service: MonitoringService, tmp_path: Path
     ) -> None:
-        """Three chunks of rows and a remainder, with scattered blanks in f1
-        and f2 blank for the whole second chunk."""
-        rows = 3 * _EXTEND_ROWS + 77
+        """Three blocks of rows and a remainder, with scattered blanks in f1
+        and f2 blank for the whole second block."""
+        rows = 3 * _BLOCK_ROWS + 77
         rng = np.random.default_rng(23)
         cells = {
             name: [repr(float(v)) for v in rng.normal(mean, 1.0, rows)]
@@ -190,7 +194,7 @@ class TestSnapshotBaseline:
         }
         for i in rng.choice(rows, 150, replace=False):
             cells["f1"][i] = ""
-        cells["f2"][_EXTEND_ROWS : 2 * _EXTEND_ROWS] = [""] * _EXTEND_ROWS
+        cells["f2"][_BLOCK_ROWS : 2 * _BLOCK_ROWS] = [""] * _BLOCK_ROWS
         train = self.write_columns(tmp_path / "t.csv", cells)
         service.register_model("m1")
         config = MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1", "f2", "prediction"))
@@ -203,13 +207,13 @@ class TestSnapshotBaseline:
                 if cell:
                     sketch.insert(float(cell))
             expected.append(build_cdf(sketch, config.cdf_points, quantity))
-        assert [s.sample_count for s in summaries] == [rows - 150, rows - _EXTEND_ROWS, rows]
+        assert [s.sample_count for s in summaries] == [rows - 150, rows - _BLOCK_ROWS, rows]
         assert summaries == expected
 
     def test_an_all_blank_column_holds_no_usable_values(
         self, service: MonitoringService, store: FileStore, tmp_path: Path
     ) -> None:
-        rows = _EXTEND_ROWS + 5
+        rows = _BLOCK_ROWS + 5
         cells = {"prediction": ["1.0"] * rows, "f1": [""] * rows}
         train = self.write_columns(tmp_path / "t.csv", cells)
         service.register_model("m1")
@@ -259,8 +263,9 @@ class TestRunDriftMonitor:
 
         def summarize(path: Path) -> object:
             sketch = QuantileSketch(0.01)
-            for (v,) in read_columns(open_dataset(path, "daily_inference"), ["f1"]):
-                sketch.insert(v)
+            for (values,) in read_columns(open_dataset(path, "daily_inference"), ["f1"]):
+                for v in values:
+                    sketch.insert(v)
             return build_cdf(sketch, 20, "f1")
 
         expected = drift_evaluate(summarize(drift_setup), summarize(current))

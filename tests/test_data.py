@@ -25,6 +25,7 @@ from driftmon import (
     open_dataset,
     read_columns,
 )
+from driftmon.data import _BLOCK_ROWS
 
 PREDICTION_HEADER = "unit_id,eval_date,prediction,f1\n"
 SALES_HEADER = "unit_id,date,units\n"
@@ -45,7 +46,8 @@ def sales_rows(day_units: dict[str, list[tuple[str, float]]]) -> str:
 
 def summarize_column(handle, column: str, epsilon: float = 0.001, points: int = 100):
     sketch = QuantileSketch(epsilon)
-    sketch.extend([v for (v,) in read_columns(handle, [column])])
+    for (values,) in read_columns(handle, [column]):
+        sketch.extend(values)
     return build_cdf(sketch, points, column)
 
 
@@ -86,8 +88,8 @@ class TestReadColumn:
             PREDICTION_HEADER + "u1,2022-03-07,1.5,10.0\nu2,2022-03-07,0.25,20.0\n",
         )
         handle = open_dataset(f, "training")
-        assert list(read_columns(handle, ["f1"])) == [(10.0,), (20.0,)]
-        assert list(read_columns(handle, ["prediction"])) == [(1.5,), (0.25,)]
+        assert list(read_columns(handle, ["f1"])) == [([10.0, 20.0],)]
+        assert list(read_columns(handle, ["prediction"])) == [([1.5, 0.25],)]
 
     def test_blank_cells_are_skipped_and_counted(self, tmp_path: Path, caplog) -> None:
         f = write_csv(
@@ -96,10 +98,8 @@ class TestReadColumn:
         )
         reader = read_columns(open_dataset(f, "training"), ["prediction"])
         with caplog.at_level(logging.WARNING):
-            cells = [v for (v,) in reader]
-        values = [v for v in cells if v is not None]
+            values = [v for (block,) in reader for v in block]
         assert values == [1.0, 3.0]
-        assert cells.count(None) == 1
         assert any("skipped 1 blank" in message for message in caplog.messages)
 
     def test_unparseable_cell_error_names_file_and_line(self, tmp_path: Path) -> None:
@@ -133,7 +133,32 @@ class TestReadColumn:
             "u2,2022-03-07,2.0\n",
         )
         rows = read_columns(open_dataset(f, "training"), ["prediction", "f1"])
-        assert list(rows) == [(1.0, 6.0), (2.0, None)]
+        assert list(rows) == [([1.0, 2.0], [6.0])]
+
+    def test_blocks_hold_each_columns_non_blank_values(self, tmp_path: Path) -> None:
+        """Two full blocks and a remainder, with f1 blank for the whole
+        second block and scattered blanks in prediction."""
+        rows = 2 * _BLOCK_ROWS + 3
+        cells = {
+            "prediction": ["" if i % 7 == 3 else f"{i}.5" for i in range(rows)],
+            "f1": ["" if _BLOCK_ROWS <= i < 2 * _BLOCK_ROWS else f"-{i}.0" for i in range(rows)],
+        }
+        f = write_csv(
+            tmp_path / "t.csv",
+            PREDICTION_HEADER
+            + "".join(
+                f"u{i},2022-03-07,{cells['prediction'][i]},{cells['f1'][i]}\n" for i in range(rows)
+            ),
+        )
+        blocks = list(read_columns(open_dataset(f, "training"), ["f1", "prediction"]))
+        assert len(blocks) == 3
+        for b, block in enumerate(blocks):
+            span = slice(b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS)
+            assert block == tuple(
+                [float(cell) for cell in cells[column][span] if cell]
+                for column in ("f1", "prediction")
+            )
+        assert blocks[1][0] == []
 
 
 class TestAssembleVelocityPairs:
@@ -331,7 +356,9 @@ class TestGenerateSynthetic:
     def test_predictions_are_non_negative(self, tmp_path: Path) -> None:
         train, infer, _ = generate_synthetic(SynthSpec(n_units=500, seed=7), tmp_path / "p")
         for handle in (train, infer):
-            assert all(v >= 0.0 for (v,) in read_columns(handle, ["prediction"]))
+            assert all(
+                v >= 0.0 for (values,) in read_columns(handle, ["prediction"]) for v in values
+            )
 
     def test_unshifted_features_rarely_flag_drift(self, tmp_path: Path) -> None:
         """Calibration: with no injected shift, the drifted-feature test

@@ -27,9 +27,11 @@ class TestStoreKey:
         assert StoreKey.of("model").child("m1", "metrics").render() == "model/m1/metrics"
 
     def test_segment_charset_is_restricted(self) -> None:
-        for bad in ("a b", "a/b", "", "ä", "a\tb", "a\nb"):
+        for bad in ("a b", "a/b", "", "ä", "a\tb", "a\nb", "a\n", ".", ".."):
             with pytest.raises(ValidationError, match="segment"):
                 StoreKey.of(bad)
+        with pytest.raises(ValidationError, match="segment"):
+            StoreKey.of("model", "..")
         # dots, dashes, underscores and digits are all legal
         StoreKey.of("a.b-c_d", "2022-03-20", "q.0")
 
