@@ -4,7 +4,7 @@ The summary keeps an ordered list of tuples ``(value, g, delta)`` where
 ``value`` is an observed sample, ``g`` is the gap between the minimum rank
 of this value and the minimum rank of its predecessor, and ``delta`` bounds
 the spread between the value's minimum and maximum possible rank.  After
-``n`` insertions every tuple satisfies ``g + delta <= floor(2 * epsilon * n)``
+``n`` observations every tuple satisfies ``g + delta <= floor(2 * epsilon * n)``
 (once ``n >= 1 / (2 * epsilon)``), which is exactly what makes any rank
 query answerable within ``epsilon * n`` ranks while holding far fewer than
 ``n`` tuples in memory.
@@ -13,7 +13,6 @@ query answerable within ``epsilon * n`` ranks while holding far fewer than
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import repeat
 from operator import itemgetter
@@ -57,38 +56,26 @@ class QuantileSketch:
         """Current ``(value, g, delta)`` summary, ordered by value."""
         return tuple(self._tuples)
 
-    def insert(self, x: float) -> None:
-        """Add one observation to the stream.
-
-        Non-finite values are rejected: they have no rank, and silently
-        dropping them would desynchronise ``count`` from the data.
-        """
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValidationError(f"observation must be finite, got {x!r}")
-        n = self._count
-        tuples = self._tuples
-        if not tuples or x < tuples[0][0]:
-            tuples.insert(0, (x, 1, 0))
-        elif x >= tuples[-1][0]:
-            tuples.append((x, 1, 0))
-        else:
-            pos = bisect_right(tuples, x, key=itemgetter(0))
-            delta = max(math.floor(2.0 * self._epsilon * n) - 1, 0)
-            tuples.insert(pos, (x, 1, delta))
-        self._count = n + 1
-        if self._count % self._compress_period == 0:
-            self._compress()
-
     def extend(self, values: Sequence[float]) -> None:
         """Add ``values`` to the stream in order.
 
-        The summary ends exactly as calling ``insert`` once per value would
-        leave it, tuple for tuple, but the values between two compressions
-        are sorted and merged in one step.  A non-finite value rejects the
-        whole call before anything is added.
+        How the values are split across calls does not change the summary:
+        it ends the same, tuple for tuple, whether they come in one call or
+        one per call.  A single value goes in as ``extend([x])``, but batches
+        are much faster per value: the values between two compressions are
+        sorted and merged in one step.
+
+        Anything but a 1-D sequence of finite reals rejects the whole call
+        before anything is added: a non-finite value has no rank, and
+        dropping it would desynchronise ``count`` from the data.
         """
-        batch = np.asarray(values, dtype=np.float64)
+        try:
+            batch = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                "observations must form a 1-D sequence of reals, "
+                f"got {type(values).__name__}: {exc}"
+            ) from exc
         if batch.ndim != 1:
             raise ValidationError(f"observations must form a 1-D sequence, got shape {batch.shape}")
         if not batch.size:
@@ -103,8 +90,8 @@ class QuantileSketch:
             raise ValidationError(
                 f"observation {bad[0]} must be finite, got {float(batch[bad[0]])!r}"
             )
-        # insert gives delta 0 to a value below every earlier value or at
-        # least as large as all of them, and otherwise the budget at its count.
+        # A value below every earlier value or at least as large as all of
+        # them gets delta 0, and any other the budget at its count.
         counts = np.arange(self._count, self._count + batch.size, dtype=np.float64)
         deltas = np.maximum(np.floor((2.0 * self._epsilon) * counts) - 1.0, 0.0).astype(np.int64)
         deltas[(batch < low[:-1]) | (batch >= high[:-1])] = 0
@@ -113,7 +100,7 @@ class QuantileSketch:
         while start < batch.size:
             # Merge the values up to the next compression in one sort.  The
             # sort is stable and the older tuples come first, so equal values
-            # keep arrival order, as bisect_right does in insert.
+            # keep arrival order.
             stop = min(start + period - self._count % period, batch.size)
             new = zip(batch[start:stop].tolist(), repeat(1), deltas[start:stop].tolist())
             self._tuples = sorted(self._tuples + list(new), key=itemgetter(0))

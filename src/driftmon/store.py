@@ -193,7 +193,13 @@ class FileStore:
             rel = Path(dirpath).relative_to(self.root)
             for name in sorted(filenames):
                 if name.endswith(_FILE_SUFFIX):
-                    yield StoreKey(rel.parts + (name[: -len(_FILE_SUFFIX)],))
+                    try:
+                        key = StoreKey(rel.parts + (name[: -len(_FILE_SUFFIX)],))
+                    except ValidationError:
+                        # Not a name the store writes, as with ``.put-*.tmp``
+                        # leftovers: a stray file or directory is passed over.
+                        continue
+                    yield key
 
     def list(self, prefix: StoreKey) -> list[StoreKey]:
         """All keys equal to or nested under ``prefix``, sorted by rendering."""

@@ -82,8 +82,7 @@ def _draw_features(rng: np.random.Generator, n: int, n_features: int) -> np.ndar
 def _feature_sigmas(n_features: int) -> np.ndarray:
     """Analytic baseline standard deviation per feature column."""
     sigmas = np.ones(n_features)
-    if n_features >= 1:
-        sigmas[0] = math.sqrt((math.e - 1.0) * math.e)
+    sigmas[0] = math.sqrt((math.e - 1.0) * math.e)
     if n_features >= 2:
         sigmas[1] = math.sqrt(5.0)
     return sigmas
@@ -148,20 +147,22 @@ def generate_synthetic(
     selling = np.sort(rng.choice(spec.n_units, size=n_selling, replace=False))
     rates = np.maximum(prod_predictions[selling], 0.05)
     counts = rng.poisson(rates[:, None], size=(n_selling, VELOCITY_WINDOW_DAYS))
-    window = [PRODUCTION_DATE + timedelta(days=i) for i in range(VELOCITY_WINDOW_DAYS)]
+    # Guarantee every selling unit is present in the file: one sale on a
+    # deterministically chosen day for a unit that drew none.
+    idle = ~counts.any(axis=1)
+    counts[idle, selling[idle] % VELOCITY_WINDOW_DAYS] = 1
+    window = [
+        (PRODUCTION_DATE + timedelta(days=i)).isoformat() for i in range(VELOCITY_WINDOW_DAYS)
+    ]
     with sales_path.open("w", newline="", encoding="utf-8") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["unit_id", "date", "units"])
-        for row, unit_index in enumerate(selling):
-            daily = counts[row]
-            if not daily.any():
-                # Guarantee the unit is present in the file: one sale on a
-                # deterministically chosen day.
-                daily = daily.copy()
-                daily[int(unit_index) % VELOCITY_WINDOW_DAYS] = 1
-            for day_index, sold in enumerate(daily):
-                if sold > 0:
-                    writer.writerow([unit_ids[unit_index], window[day_index].isoformat(), int(sold)])
+        writer.writerows(
+            (unit_ids[unit_index], window[day_index], sold)
+            for unit_index, daily in zip(selling.tolist(), counts.tolist())
+            for day_index, sold in enumerate(daily)
+            if sold > 0
+        )
 
     return (
         open_dataset(training_path, DatasetKind.TRAINING),

@@ -62,8 +62,7 @@ def verdict(capfd):
 
 def summarize(values, epsilon: float = 0.001, points: int = 100, label: str = "x"):
     sketch = QuantileSketch(epsilon)
-    for v in values:
-        sketch.insert(float(v))
+    sketch.extend(list(values))
     return build_cdf(sketch, points, label)
 
 
@@ -121,8 +120,7 @@ def test_criterion_3_sketch_rank_error_budget(verdict) -> None:
             for epsilon in (0.01, 0.001):
                 for order, stream in streams.items():
                     sketch = QuantileSketch(epsilon)
-                    for v in stream:
-                        sketch.insert(float(v))
+                    sketch.extend(stream)
                     for k in range(1, 100):
                         p = k / 100.0
                         target = math.ceil(p * n)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,26 @@ class TestDeleteCommand:
         )
         assert code == EXIT_OK
         assert len(out.splitlines()) == 2
+
+    def test_stray_files_are_passed_over(self, workspace, cli) -> None:
+        """A copied metric file and a renamed day directory are not keys:
+        queries still succeed, and deleting the history counts only the
+        store's own documents but removes the whole subtree."""
+        store, _ = workspace
+        query = (
+            "get-metrics", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--from", "2022-03-20", "--to", "2022-03-20", "--format", "doc",
+        )
+        clean = cli(*query)
+        metrics = Path(store, "model", "m1", "monitor", "d1", "metrics")
+        shutil.copy(metrics / "2022-03-20" / "f1.json", metrics / "2022-03-20" / "f1 copy.json")
+        shutil.copytree(metrics / "2022-03-20", metrics / "2022-03-20 old")
+        assert cli(*query) == clean
+        code, out, _ = cli(
+            "delete", "--store", store, "--kind", "metrics", "--model", "m1", "--monitor", "d1",
+        )
+        assert (code, out) == (EXIT_OK, "deleted 2\n")
+        assert not metrics.exists()
 
     def test_missing_selector_is_a_usage_error(self, workspace, cli) -> None:
         store, _ = workspace

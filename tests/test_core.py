@@ -203,9 +203,7 @@ class TestSnapshotBaseline:
         expected = []
         for quantity in config.quantities:
             sketch = QuantileSketch(config.epsilon)
-            for cell in cells[quantity]:
-                if cell:
-                    sketch.insert(float(cell))
+            sketch.extend([float(cell) for cell in cells[quantity] if cell])
             expected.append(build_cdf(sketch, config.cdf_points, quantity))
         assert [s.sample_count for s in summaries] == [rows - 150, rows - _BLOCK_ROWS, rows]
         assert summaries == expected
@@ -263,9 +261,8 @@ class TestRunDriftMonitor:
 
         def summarize(path: Path) -> object:
             sketch = QuantileSketch(0.01)
-            for (values,) in read_columns(open_dataset(path, "daily_inference"), ["f1"]):
-                for v in values:
-                    sketch.insert(v)
+            blocks = read_columns(open_dataset(path, "daily_inference"), ["f1"])
+            sketch.extend([v for (values,) in blocks for v in values])
             return build_cdf(sketch, 20, "f1")
 
         expected = drift_evaluate(summarize(drift_setup), summarize(current))

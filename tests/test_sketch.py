@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def rank_error(sorted_values: list[float], answer: float, target: int) -> int:
 
 
 def check_invariants(sketch: QuantileSketch) -> None:
-    """Assert the structural invariants that hold after every insert."""
+    """Assert the structural invariants that hold after every value."""
     tuples = sketch.tuples
     count = sketch.count
     assert sum(g for _, g, _ in tuples) == count
@@ -58,13 +59,13 @@ def test_non_finite_observations_are_rejected() -> None:
     sketch = QuantileSketch(0.1)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="finite"):
-            sketch.insert(bad)
+            sketch.extend([bad])
     assert sketch.count == 0
 
 
 def test_query_probability_must_lie_in_unit_interval() -> None:
     sketch = QuantileSketch(0.1)
-    sketch.insert(3.0)
+    sketch.extend([3.0])
     for bad in (-0.1, 1.5, math.nan):
         with pytest.raises(ValidationError, match="probability"):
             sketch.query(bad)
@@ -78,13 +79,13 @@ def test_empty_sketch_raises_on_query() -> None:
 def test_count_tracks_inserts() -> None:
     sketch = QuantileSketch(0.1)
     for i in range(25):
-        sketch.insert(float(i % 7))
+        sketch.extend([float(i % 7)])
         assert sketch.count == i + 1
 
 
 def test_single_observation_answers_every_probability() -> None:
     sketch = QuantileSketch(0.25)
-    sketch.insert(42.5)
+    sketch.extend([42.5])
     for p in (0.0, 0.3, 0.5, 0.99, 1.0):
         assert sketch.query(p) == 42.5
 
@@ -94,8 +95,7 @@ def test_extremes_are_exact() -> None:
     rng = np.random.default_rng(11)
     values = rng.normal(0.0, 5.0, 3000)
     sketch = QuantileSketch(0.01)
-    for v in values:
-        sketch.insert(float(v))
+    sketch.extend(values)
     assert sketch.query(0.0) == values.min()
     assert sketch.query(1.0) == values.max()
 
@@ -103,8 +103,7 @@ def test_extremes_are_exact() -> None:
 def test_sequential_integers_frozen_regression() -> None:
     """Known stream 1..1000 at epsilon 0.01: size and median are pinned."""
     sketch = QuantileSketch(0.01)
-    for i in range(1, 1001):
-        sketch.insert(float(i))
+    sketch.extend([float(i) for i in range(1, 1001)])
     assert len(sketch.tuples) == 68
     assert sketch.query(0.0) == 1.0
     assert sketch.query(1.0) == 1000.0
@@ -118,14 +117,11 @@ def test_compression_keeps_summary_small() -> None:
     sizes = {}
     for n in (1000, 10000, 50000):
         sketch = QuantileSketch(0.01)
-        for i in range(1, n + 1):
-            sketch.insert(float(i))
+        sketch.extend([float(i) for i in range(1, n + 1)])
         sizes[n] = len(sketch.tuples)
     assert sizes == {1000: 68, 10000: 59, 50000: 69}
     dense = QuantileSketch(0.001)
-    for i in range(10000):
-        sketch_value = float(i)
-        dense.insert(sketch_value)
+    dense.extend([float(i) for i in range(10000)])
     assert len(dense.tuples) == 659
 
 
@@ -133,15 +129,14 @@ def test_invariants_hold_throughout_a_random_stream() -> None:
     rng = np.random.default_rng(7)
     sketch = QuantileSketch(0.05)
     for v in rng.normal(0.0, 1.0, 500):
-        sketch.insert(float(v))
+        sketch.extend([float(v)])
         check_invariants(sketch)
 
 
 def test_invariants_hold_with_heavy_duplication() -> None:
     rng = np.random.default_rng(3)
     sketch = QuantileSketch(0.02)
-    for v in rng.integers(0, 5, 2000):
-        sketch.insert(float(v))
+    sketch.extend(rng.integers(0, 5, 2000))
     check_invariants(sketch)
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert sketch.query(p) in {0.0, 1.0, 2.0, 3.0, 4.0}
@@ -160,8 +155,7 @@ def test_rank_error_stays_within_budget(order: str, epsilon: float) -> None:
     else:
         stream = values
     sketch = QuantileSketch(epsilon)
-    for v in stream:
-        sketch.insert(float(v))
+    sketch.extend(stream)
     reference = sorted(values.tolist())
     n = len(reference)
     budget = epsilon * n
@@ -175,21 +169,18 @@ def test_rank_error_stays_within_budget(order: str, epsilon: float) -> None:
 def test_query_is_monotone_in_probability() -> None:
     rng = np.random.default_rng(29)
     sketch = QuantileSketch(0.01)
-    for v in rng.normal(0.0, 1.0, 5000):
-        sketch.insert(float(v))
+    sketch.extend(rng.normal(0.0, 1.0, 5000))
     answers = [sketch.query(k / 200.0) for k in range(201)]
     assert answers == sorted(answers)
 
 
 def test_interleaved_streams_merge_correctly() -> None:
     """Alternating low/high values must not confuse the rank accounting."""
-    sketch = QuantileSketch(0.01)
     data: list[float] = []
     for i in range(2500):
-        low, high = float(i), float(10000 - i)
-        sketch.insert(low)
-        sketch.insert(high)
-        data.extend((low, high))
+        data.extend((float(i), float(10000 - i)))
+    sketch = QuantileSketch(0.01)
+    sketch.extend(data)
     reference = sorted(data)
     n = len(reference)
     for p in (0.1, 0.5, 0.9):
@@ -197,10 +188,31 @@ def test_interleaved_streams_merge_correctly() -> None:
         assert rank_error(reference, sketch.query(p), target) <= 0.01 * n
 
 
+def reference_insert(sketch: QuantileSketch, x: float) -> None:
+    """The per-value insertion that ``extend`` must reproduce tuple for
+    tuple: bisect the value in, then compress once per period."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"observation must be finite, got {x!r}")
+    n = sketch._count
+    tuples = sketch._tuples
+    if not tuples or x < tuples[0][0]:
+        tuples.insert(0, (x, 1, 0))
+    elif x >= tuples[-1][0]:
+        tuples.append((x, 1, 0))
+    else:
+        pos = bisect_right(tuples, x, key=itemgetter(0))
+        delta = max(math.floor(2.0 * sketch._epsilon * n) - 1, 0)
+        tuples.insert(pos, (x, 1, delta))
+    sketch._count = n + 1
+    if sketch._count % sketch._compress_period == 0:
+        sketch._compress()
+
+
 def fed_by_insert(epsilon: float, values) -> QuantileSketch:
     sketch = QuantileSketch(epsilon)
     for v in values:
-        sketch.insert(v)
+        reference_insert(sketch, v)
     return sketch
 
 
@@ -255,12 +267,13 @@ def test_extend_rejects_a_non_finite_chunk_whole(bad: float, position: int) -> N
     sketch.extend([])
     assert sketch.count == 120
     sketch.extend([3.0, -3.0])
-    sketch.insert(0.25)
+    sketch.extend([0.25])
     assert sketch.tuples == fed_by_insert(0.05, [*before, 3.0, -3.0, 0.25]).tuples
 
 
 def test_extend_rejects_nested_sequences() -> None:
     sketch = QuantileSketch(0.1)
-    with pytest.raises(ValidationError, match="1-D"):
-        sketch.extend([[1.0, 2.0]])
-    assert sketch.count == 0
+    for bad in ([[1.0, 2.0]], 3.0, ["a"], (float(i) for i in range(3))):
+        with pytest.raises(ValidationError, match="1-D"):
+            sketch.extend(bad)
+        assert sketch.count == 0

@@ -145,6 +145,22 @@ class TestFileStore:
         listed = store.list(StoreKey.of("model", "m1"))
         assert [k.render() for k in listed] == ["model/m1/a"]
 
+    def test_list_passes_over_names_the_store_never_writes(
+        self, store: FileStore, tmp_path: Path
+    ) -> None:
+        """A copied file, a renamed directory or a tree deeper than a key
+        can be does not make listing fail."""
+        key = StoreKey.of("model", "m1", "metrics", "2022-03-20", "velocity")
+        store.put(key, dumps_doc({}))
+        day = tmp_path / "store" / "model" / "m1" / "metrics" / "2022-03-20"
+        (day / "velocity copy.json").write_text("{}\n", encoding="utf-8")
+        (day.parent / "2022-03-20 old").mkdir()
+        (day.parent / "2022-03-20 old" / "velocity.json").write_text("{}\n", encoding="utf-8")
+        deep = day.joinpath("a", "b", "c", "d")
+        deep.mkdir(parents=True)
+        (deep / "e.json").write_text("{}\n", encoding="utf-8")
+        assert store.list(StoreKey.of("model", "m1")) == [key]
+
     def test_list_includes_document_at_the_prefix_itself(self, store: FileStore) -> None:
         store.put(StoreKey.of("model", "m1"), dumps_doc({"id": "m1"}))
         store.put(StoreKey.of("model", "m1", "monitor", "d1"), dumps_doc({}))

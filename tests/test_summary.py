@@ -21,8 +21,7 @@ from driftmon import (
 
 def sketch_of(values) -> QuantileSketch:
     sketch = QuantileSketch(0.01)
-    for v in values:
-        sketch.insert(float(v))
+    sketch.extend(values)
     return sketch
 
 
@@ -118,8 +117,7 @@ class TestApproxCdfEval:
         n, eps, points = 5000, 0.01, 50
         data = rng.lognormal(0.0, 1.0, n)
         sketch = QuantileSketch(eps)
-        for v in data:
-            sketch.insert(float(v))
+        sketch.extend(data)
         cdf = build_cdf(sketch, points, "x")
         ordered = np.sort(data).tolist()
         bound = 1.0 / points + 2.0 * eps + 1.0 / n
