@@ -19,6 +19,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+from . import core
 from .core import (
     LogRecord,
     MetricRecord,
@@ -81,9 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, dest="monitor_id")
     p.add_argument("--kind", required=True, choices=[k.value for k in MonitorKind])
     p.add_argument("--quantities", help="comma-separated column names (drift monitors)")
-    p.add_argument("--epsilon", type=float, default=None, help="sketch rank-error budget")
-    p.add_argument("--cdf-points", type=int, default=None, help="quantile grid size")
-    p.add_argument("--density-bins", type=int, default=None, help="histogram bins for overlap")
+    p.add_argument(
+        "--epsilon", type=float, default=core.DEFAULT_EPSILON,
+        help="sketch rank-error budget (default: %(default)s)",
+    )
+    p.add_argument(
+        "--cdf-points", type=int, default=core.DEFAULT_CDF_POINTS,
+        help="quantile grid size (default: %(default)s)",
+    )
+    p.add_argument(
+        "--density-bins", type=int, default=core.DEFAULT_DENSITY_BINS,
+        help="histogram bins for overlap (default: %(default)s)",
+    )
 
     p = sub.add_parser("snapshot-baseline", parents=[common], help="summarise training data")
     p.add_argument("--model", required=True)
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=[k.value for k in ReactionKind])
     p.add_argument("--monitor", required=True)
     p.add_argument("--metric", help="metric name (threshold reactions)")
-    p.add_argument("--comparator", choices=["<", "<=", ">", ">="])
+    p.add_argument("--comparator", choices=sorted(core._COMPARATORS))
     p.add_argument("--threshold", type=float)
     p.add_argument("--from", type=_iso_date, dest="date_from", help="report start date")
     p.add_argument("--to", type=_iso_date, dest="date_to", help="report end date")
@@ -130,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=_FORMATS, default="table")
 
     p = sub.add_parser("delete", parents=[common], help="delete an entity")
-    p.add_argument("--kind", required=True, choices=["monitor", "metrics", "reaction", "logs"])
+    p.add_argument("--kind", required=True, choices=core._DELETABLE_KINDS)
     p.add_argument("--model", required=True)
     p.add_argument("--monitor")
     p.add_argument("--reaction")
@@ -245,23 +255,14 @@ def _cmd_register_model(service: MonitoringService, args) -> None:
 
 
 def _cmd_set_monitor(service: MonitoringService, args) -> None:
-    kind = MonitorKind(args.kind)
-    quantities = tuple(q for q in (args.quantities or "").split(",") if q)
-    overrides = {
-        name: value
-        for name, value in (
-            ("epsilon", args.epsilon),
-            ("cdf_points", args.cdf_points),
-            ("density_bins", args.density_bins),
-        )
-        if value is not None
-    }
     config = MonitorConfig(
         monitor_id=args.monitor_id,
         model_id=args.model,
-        kind=kind,
-        quantities=quantities,
-        **overrides,
+        kind=MonitorKind(args.kind),
+        quantities=tuple(q for q in (args.quantities or "").split(",") if q),
+        epsilon=args.epsilon,
+        cdf_points=args.cdf_points,
+        density_bins=args.density_bins,
     )
     service.set_monitor(config)
     sys.stdout.write(dumps_doc(config.to_doc()))
@@ -275,12 +276,9 @@ def _cmd_snapshot_baseline(service: MonitoringService, args) -> None:
 
 
 def _cmd_run_monitor(service: MonitoringService, args) -> None:
-    config = service.get_monitor(args.model, args.monitor)
     data = open_dataset(_data_path(args, args.data), DatasetKind.DAILY_INFERENCE)
     sales = None
-    if config.kind is MonitorKind.PERFORMANCE:
-        if not args.sales:
-            raise ValidationError("performance monitors need --sales pointing at daily sales")
+    if args.sales:
         sales = open_dataset(_data_path(args, args.sales), DatasetKind.DAILY_SALES)
     records = service.run_monitor(args.model, args.monitor, args.eval_date, data, sales)
     _emit(records, _metric_table_rows, args.format)

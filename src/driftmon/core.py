@@ -514,7 +514,7 @@ class MonitoringService:
         sales: DatasetHandle | None,
     ) -> list[MetricRecord]:
         if sales is None:
-            raise ValidationError("a performance monitor run needs a daily sales handle")
+            raise ValidationError("a performance monitor run needs daily sales data (--sales)")
         pairs, excluded = assemble_velocity_pairs(data, sales, eval_date)
         if not pairs:
             raise PreconditionError(

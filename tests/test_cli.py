@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from driftmon import dumps_doc, loads_doc
+from driftmon import FileStore, dumps_doc, loads_doc
 from driftmon.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -306,6 +306,31 @@ class TestReactionCommands:
             for line in (header, row)
         )
 
+        # --from/--to are inclusive timestamps: a Z suffix, a +00:00 offset
+        # and a naive time (read as UTC) all select the log at its own time.
+        def logs(*window: str) -> tuple[int, str, str]:
+            return cli(
+                "get-logs", "--store", store, "--model", "m1", "--reaction", "r1",
+                "--format", "doc", *window,
+            )
+
+        created = log["created_at"]
+        assert created.endswith("Z")
+        doc = dumps_doc(log)
+        assert logs("--from", created, "--to", created)[:2] == (EXIT_OK, doc)
+        assert logs("--to", created[:-1] + "+00:00")[:2] == (EXIT_OK, doc)
+        assert logs("--from", created[:-1])[:2] == (EXIT_OK, doc)
+        assert logs("--from", "2000-01-01T00:00:00Z", "--to", "2000-01-02T00:00:00Z")[:2] == (
+            EXIT_OK, "",
+        )
+        code, out, err = logs("--from", created, "--to", "2000-01-01T00:00:00Z")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "reversed" in err
+        code, out, err = logs("--from", "yesterday")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "not an ISO timestamp" in err
+        assert "Traceback" not in err
+
     def test_report_lifecycle(self, workspace, cli) -> None:
         store, _ = workspace
         code, _, err = cli(
@@ -388,6 +413,14 @@ class TestSynthCommand:
         for name in ("training.csv", "inference.csv", "sales.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_output_under_a_regular_file_is_an_io_error(self, tmp_path: Path, cli) -> None:
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        code, out, err = cli("synth", "--out", str(blocker / "data"), "--units", "5")
+        assert (code, out) == (EXIT_IO, "")
+        assert str(blocker / "data") in err
+        assert "Traceback" not in err
+
     def test_rejects_bad_spec(self, tmp_path: Path, cli) -> None:
         code, _, err = cli(
             "synth", "--out", str(tmp_path / "x"), "--units", "0", "--seed", "3"
@@ -431,4 +464,49 @@ class TestPerformanceFlow:
             "--date", "2022-03-20", "--data", str(data / "inference.csv"),
         )
         assert code == EXIT_USAGE
-        assert "sales" in err
+        assert "--sales" in err
+
+
+class TestRunMonitorCommand:
+    def run(self, cli, store: str, data: Path, *extra: str) -> tuple[int, str, str]:
+        return cli(
+            "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--date", "2022-03-21", "--data", str(data / "inference.csv"),
+            "--format", "doc", *extra,
+        )
+
+    def test_reads_the_monitor_document_once(self, workspace, cli, monkeypatch) -> None:
+        store, data = workspace
+        reads = []
+        get = FileStore.get
+
+        def counting_get(self, key):
+            reads.append(key.render())
+            return get(self, key)
+
+        monkeypatch.setattr(FileStore, "get", counting_get)
+        code, _, err = self.run(cli, store, data)
+        assert code == EXIT_OK, err
+        assert reads.count("model/m1/monitor/d1") == 1
+
+    def test_drift_run_ignores_a_valid_sales_file(self, workspace, cli) -> None:
+        store, data = workspace
+
+        def masked(out: str) -> list[dict]:
+            docs = [loads_doc(line) for line in out.splitlines()]
+            for doc in docs:
+                del doc["context"]["computed_at"]
+            return docs
+
+        plain = self.run(cli, store, data)
+        with_sales = self.run(cli, store, data, "--sales", str(data / "sales.csv"))
+        assert plain[0] == with_sales[0] == EXIT_OK
+        assert masked(with_sales[1]) == masked(plain[1])
+        assert len(masked(plain[1])) == 2
+
+    def test_drift_run_opens_a_given_sales_file(self, workspace, cli) -> None:
+        store, data = workspace
+        ghost = data / "ghost-sales.csv"
+        code, out, err = self.run(cli, store, data, "--sales", str(ghost))
+        assert (code, out) == (EXIT_IO, "")
+        assert str(ghost) in err

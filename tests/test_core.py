@@ -119,6 +119,8 @@ class TestMonitorConfig:
     def test_drift_monitor_needs_quantities(self) -> None:
         with pytest.raises(ValidationError, match="quantity"):
             MonitorConfig("d1", "m1", MonitorKind.DRIFT, ())
+        with pytest.raises(ValidationError, match="performance monitor takes no quantities"):
+            MonitorConfig("p1", "m1", MonitorKind.PERFORMANCE, ("f1",))
 
     def test_identifier_charset(self) -> None:
         with pytest.raises(ValidationError, match="monitor_id"):
@@ -359,6 +361,17 @@ class TestRunPerformanceMonitor:
         with pytest.raises(ValidationError, match="sales"):
             service.run_monitor("m1", "p1", FORECAST, pred)
 
+    def test_day_without_predictions_writes_nothing(
+        self, service: MonitoringService, store: FileStore, tmp_path: Path
+    ) -> None:
+        _, sales = self.setup_perf(service, tmp_path)
+        other_day = write_predictions(tmp_path / "other.csv", [1.0], eval_date="2022-03-19")
+        with pytest.raises(PreconditionError, match="no predictions found for 2022-03-20"):
+            service.run_monitor(
+                "m1", "p1", FORECAST, open_dataset(other_day, "daily_inference"), sales
+            )
+        assert store.list(StoreKey.parse("model/m1/monitor/p1/metrics")) == []
+
     def test_known_error_values(self, service: MonitoringService, tmp_path: Path) -> None:
         """Predictions one unit above constant velocities: MAE is exactly 1
         and the weighted percentage error follows the +1 denominators."""
@@ -485,6 +498,43 @@ class TestReactions:
         with pytest.raises(NotFoundError, match="monitor"):
             service.set_reaction(config)
 
+    @pytest.mark.parametrize(
+        "kind,fields,message",
+        [
+            (ReactionKind.THRESHOLD, {"comparator": ">", "threshold": 0.1}, "metric_name"),
+            (
+                ReactionKind.THRESHOLD,
+                {"metric_name": "ks_distance", "comparator": "!=", "threshold": 0.1},
+                "comparator must be one of",
+            ),
+            (
+                ReactionKind.THRESHOLD,
+                {"metric_name": "ks_distance", "comparator": ">", "threshold": float("nan")},
+                "finite threshold",
+            ),
+            (
+                ReactionKind.REPORT,
+                {"date_from": date(2022, 3, 20), "sample_size": 5},
+                "date_from and date_to",
+            ),
+            (
+                ReactionKind.REPORT,
+                {"date_from": date(2022, 3, 27), "date_to": date(2022, 3, 20), "sample_size": 5},
+                "reversed",
+            ),
+            (
+                ReactionKind.REPORT,
+                {"date_from": date(2022, 3, 20), "date_to": date(2022, 3, 27), "sample_size": 1},
+                "sample_size >= 2",
+            ),
+        ],
+    )
+    def test_config_is_validated_per_kind(
+        self, kind: ReactionKind, fields: dict, message: str
+    ) -> None:
+        with pytest.raises(ValidationError, match=message):
+            ReactionConfig("r1", "m1", kind, "d1", **fields)
+
     def test_round_trip(self, drift_setup: Path, service: MonitoringService) -> None:
         config = ReactionConfig(
             "r1", "m1", ReactionKind.THRESHOLD, "d1",
@@ -562,6 +612,19 @@ class TestReactions:
         with pytest.raises(PreconditionError, match="no 'ks_distance' metrics"):
             service.run_reaction("m1", "r1", FORECAST - timedelta(days=1))
         assert service.get_logs("m1", "r1") == []
+
+    def test_report_without_metrics_fails_and_logs_nothing(
+        self, with_metrics, service: MonitoringService
+    ) -> None:
+        service.set_reaction(
+            ReactionConfig(
+                "rep", "m1", ReactionKind.REPORT, "d1",
+                date_from=date(2022, 3, 1), date_to=date(2022, 3, 19), sample_size=5,
+            )
+        )
+        with pytest.raises(PreconditionError, match=r"no metrics in \[2022-03-01, 2022-03-19\]"):
+            service.run_reaction("m1", "rep", FORECAST)
+        assert service.get_logs("m1", "rep") == []
 
     def test_report_builds_stride_sampled_series(
         self, drift_setup: Path, service: MonitoringService, tmp_path: Path
@@ -725,6 +788,23 @@ class TestDelete:
             populated.delete("gadget", model_id="m1")
         with pytest.raises(ValidationError, match="model"):
             populated.delete("model", model_id="m1")
+
+    @pytest.mark.parametrize(
+        "kind,selector",
+        [
+            ("monitor", "monitor_id"),
+            ("metrics", "monitor_id"),
+            ("reaction", "reaction_id"),
+            ("logs", "reaction_id"),
+        ],
+    )
+    def test_missing_selector_is_rejected(
+        self, populated: MonitoringService, store: FileStore, kind: str, selector: str
+    ) -> None:
+        before = [k.render() for k in store.list(StoreKey.of("model", "m1"))]
+        with pytest.raises(ValidationError, match=f"deleting {kind} requires {selector}"):
+            populated.delete(kind, model_id="m1")
+        assert [k.render() for k in store.list(StoreKey.of("model", "m1"))] == before
 
     def test_deleting_nothing_returns_zero(self, service: MonitoringService) -> None:
         assert service.delete("monitor", model_id="mx", monitor_id="dx") == 0

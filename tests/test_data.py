@@ -70,6 +70,9 @@ class TestOpenDataset:
         g = write_csv(tmp_path / "s.csv", PREDICTION_HEADER)
         with pytest.raises(SchemaError, match="daily_sales"):
             open_dataset(g, "daily_sales")
+        empty = write_csv(tmp_path / "empty.csv", "")
+        with pytest.raises(SchemaError, match="missing header row"):
+            open_dataset(empty, "training")
 
     def test_missing_file_is_a_storage_error(self, tmp_path: Path) -> None:
         with pytest.raises(StorageError, match="cannot open"):
@@ -309,6 +312,9 @@ class TestSynthSpec:
             SynthSpec(n_units=10, n_features=0)
         with pytest.raises(ValidationError, match="scale_factor"):
             SynthSpec(n_units=10, scale_factor=0.0)
+        for shift in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="location_shift"):
+                SynthSpec(n_units=10, location_shift=shift)
         SynthSpec(n_units=10, density=1.0)
 
 

@@ -136,6 +136,11 @@ class TestKsCriticalDistance:
             with pytest.raises(ValidationError, match="alpha"):
                 ks_critical_distance(bad, 10, 10)
 
+    def test_rejects_empty_samples(self) -> None:
+        for n, m in ((0, 10), (10, 0)):
+            with pytest.raises(ValidationError, match="sample sizes"):
+                ks_critical_distance(0.05, n, m)
+
 
 class TestBhattacharyya:
     def test_identity_pair_is_one(self) -> None:
