@@ -8,6 +8,8 @@ unit sales velocity.  Reactions turn stored metrics into alert or report
 logs, and everything persists as plain documents under one directory.
 """
 
+import importlib
+
 from .core import (
     LogRecord,
     MetricRecord,
@@ -26,13 +28,6 @@ from .data import (
     open_dataset,
     read_columns,
 )
-from .drift import (
-    bhattacharyya,
-    drift_evaluate,
-    ks_critical_distance,
-    ks_distance,
-    ks_p_value,
-)
 from .errors import (
     EmptySummaryError,
     MonitoringError,
@@ -47,9 +42,68 @@ from .performance import (
     mae,
     wmape,
 )
-from .sketch import QuantileSketch
 from .store import FileStore, StoreKey, dumps_doc, loads_doc
-from .summary import ApproxCdf, build_cdf, density_from_cdf
-from .synth import SynthSpec, generate_synthetic
 
 __version__ = "0.1.0"
+
+#: Names whose modules import numpy, with the module that defines each.
+#: They load on first access (PEP 562), so ``import driftmon`` and the
+#: query commands start without numpy.
+_LAZY = {
+    "QuantileSketch": "sketch",
+    "ApproxCdf": "summary",
+    "build_cdf": "summary",
+    "density_from_cdf": "summary",
+    "bhattacharyya": "drift",
+    "drift_evaluate": "drift",
+    "ks_critical_distance": "drift",
+    "ks_distance": "drift",
+    "ks_p_value": "drift",
+    "SynthSpec": "synth",
+    "generate_synthetic": "synth",
+}
+
+__all__ = [
+    "LogRecord",
+    "MetricRecord",
+    "ModelRegistration",
+    "MonitorConfig",
+    "MonitorKind",
+    "MonitoringService",
+    "ReactionConfig",
+    "ReactionKind",
+    "Severity",
+    "DatasetHandle",
+    "DatasetKind",
+    "assemble_velocity_pairs",
+    "open_dataset",
+    "read_columns",
+    "EmptySummaryError",
+    "MonitoringError",
+    "NotFoundError",
+    "PreconditionError",
+    "SchemaError",
+    "StorageError",
+    "ValidationError",
+    "coefficient_of_variation",
+    "mae",
+    "wmape",
+    "FileStore",
+    "StoreKey",
+    "dumps_doc",
+    "loads_doc",
+    *_LAZY,
+]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -32,7 +32,6 @@ from .core import (
 from .data import DatasetKind, open_dataset
 from .errors import MonitoringError, StorageError, ValidationError
 from .store import FileStore, dumps_doc, format_real
-from .synth import SynthSpec, generate_synthetic
 
 __all__ = ["build_parser", "main"]
 
@@ -328,6 +327,9 @@ def _cmd_delete(service: MonitoringService, args) -> None:
 
 
 def _cmd_synth(args) -> None:
+    # Only this command needs numpy, so it is imported here, not at start-up.
+    from .synth import SynthSpec, generate_synthetic
+
     spec = SynthSpec(
         n_units=args.units,
         density=args.density,

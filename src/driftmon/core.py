@@ -19,15 +19,15 @@ import operator
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from enum import Enum
-from typing import Any, Callable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from .data import DatasetHandle, assemble_velocity_pairs, read_columns
-from .drift import drift_evaluate
 from .errors import NotFoundError, PreconditionError, StorageError, ValidationError
 from .performance import mae, wmape
-from .sketch import QuantileSketch
 from .store import _SEGMENT_RE, FileStore, StoreKey, dumps_doc, loads_doc
-from .summary import ApproxCdf, build_cdf
+
+if TYPE_CHECKING:
+    from .summary import ApproxCdf
 
 __all__ = [
     "MonitorKind",
@@ -430,6 +430,11 @@ class MonitoringService:
     @staticmethod
     def _summarise(data: DatasetHandle, config: MonitorConfig) -> list[ApproxCdf]:
         """One summary per configured quantity, from a single read of ``data``."""
+        # The numpy-backed modules load here, on the drift path only, so
+        # queries and reactions start without numpy.
+        from .sketch import QuantileSketch
+        from .summary import build_cdf
+
         sketches = [QuantileSketch(config.epsilon) for _ in config.quantities]
         for block in read_columns(data, config.quantities):
             for sketch, values in zip(sketches, block):
@@ -477,6 +482,8 @@ class MonitoringService:
     def _run_drift(
         self, config: MonitorConfig, eval_date: date, data: DatasetHandle
     ) -> list[MetricRecord]:
+        from .drift import drift_evaluate
+
         baselines: dict[str, ApproxCdf] = {}
         for quantity in config.quantities:
             key = self._baseline_prefix(config.model_id, config.monitor_id).child(quantity)
@@ -540,15 +547,32 @@ class MonitoringService:
         self, model_id: str, monitor_id: str, date_from: date, date_to: date
     ) -> list[MetricRecord]:
         """Stored records in the inclusive date range, ordered by
-        (eval_date, quantity)."""
+        (eval_date, quantity).
+
+        Only the day directories whose ISO date falls in the range are
+        read, so a query costs the days it asks for, not the history.
+        """
         if date_from > date_to:
             raise ValidationError("metric range is reversed: date_from is after date_to")
-        records = []
-        for key in self.store.list(self._metrics_prefix(model_id, monitor_id)):
-            record = self._load(key, MetricRecord.from_doc)
-            if record is not None and date_from <= record.eval_date <= date_to:
-                records.append(record)
+        prefix = self._metrics_prefix(model_id, monitor_id)
+        first, last = date_from.isoformat(), date_to.isoformat()
+        records = [
+            record
+            for day in self.store.children(prefix)
+            if first <= day <= last
+            for record in self._records_on(prefix, day)
+            if date_from <= record.eval_date <= date_to
+        ]
         records.sort(key=lambda r: (r.eval_date, r.quantity))
+        return records
+
+    def _records_on(self, prefix: StoreKey, day: str) -> list[MetricRecord]:
+        """The records stored under one day directory of a metrics prefix."""
+        records = []
+        for key in self.store.list(prefix.child(day)):
+            record = self._load(key, MetricRecord.from_doc)
+            if record is not None:
+                records.append(record)
         return records
 
     # -- reactions ---------------------------------------------------------
@@ -590,11 +614,20 @@ class MonitoringService:
         return [record]
 
     def _threshold_log(self, config: ReactionConfig, as_of: date) -> LogRecord:
-        records = [
-            r
-            for r in self.get_metrics(config.model_id, config.monitor_id, date.min, as_of)
-            if config.metric_name in r.metrics
-        ]
+        # Day directories are ISO dates, which sort as strings: walk them
+        # down from ``as_of`` and stop at the first day holding the metric.
+        prefix = self._metrics_prefix(config.model_id, config.monitor_id)
+        last = as_of.isoformat()
+        records: list[MetricRecord] = []
+        for day in reversed(self.store.children(prefix)):
+            if day <= last:
+                records = [
+                    r
+                    for r in self._records_on(prefix, day)
+                    if r.eval_date <= as_of and config.metric_name in r.metrics
+                ]
+                if records:
+                    break
         if not records:
             raise PreconditionError(
                 f"no {config.metric_name!r} metrics at or before {as_of.isoformat()} "
@@ -730,6 +763,8 @@ def _cdf_to_doc(cdf: ApproxCdf) -> dict[str, Any]:
 
 
 def _cdf_from_doc(doc: Mapping[str, Any]) -> ApproxCdf:
+    from .summary import ApproxCdf
+
     return ApproxCdf(
         label=doc["label"],
         sample_count=int(doc["sample_count"]),

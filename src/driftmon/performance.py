@@ -40,6 +40,14 @@ def _check_velocities(metric: str, predicted: Sequence[float], actual: Sequence[
     if not predicted:
         raise ValidationError(f"{metric} requires at least one velocity pair")
     for name, values in (("predicted", predicted), ("actual", actual)):
+        # Whole-list passes in C: min and max miss a NaN, the sum does not.
+        if (
+            all(issubclass(t, (int, float)) for t in set(map(type, values)))
+            and min(values) >= 0.0
+            and max(values) < math.inf
+            and not math.isnan(sum(values))
+        ):
+            continue
         for v in values:
             if not (isinstance(v, (int, float)) and 0.0 <= v < math.inf):
                 raise ValidationError(

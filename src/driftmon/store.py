@@ -17,7 +17,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from .errors import StorageError, ValidationError
 
@@ -148,11 +148,14 @@ class FileStore:
         except OSError as exc:
             raise StorageError(f"cannot create store root {self.root}: {exc}") from exc
 
-    def _file_path(self, key: StoreKey) -> Path:
-        return self.root.joinpath(*key.segments[:-1], key.segments[-1] + _FILE_SUFFIX)
+    # Paths are plain strings, not Path objects: a query reads one document
+    # per record and lists one prefix per stored day, so per-call cost counts.
 
-    def _dir_path(self, key: StoreKey) -> Path:
-        return self.root.joinpath(*key.segments)
+    def _dir_path(self, key: StoreKey) -> str:
+        return os.path.join(self.root, *key.segments)
+
+    def _file_path(self, key: StoreKey) -> str:
+        return self._dir_path(key) + _FILE_SUFFIX
 
     def put(self, key: StoreKey, body: str) -> None:
         """Atomically create or replace the document at ``key``."""
@@ -161,9 +164,10 @@ class FileStore:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"body for {key} is not a well-formed document: {exc}") from exc
         path = self._file_path(key)
+        parent = os.path.dirname(path)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".put-", suffix=".tmp")
+            os.makedirs(parent, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=".put-", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
                     handle.write(body)
@@ -176,36 +180,50 @@ class FileStore:
 
     def get(self, key: StoreKey) -> str | None:
         """Body at ``key``, or None when absent (absence is not an error)."""
-        path = self._file_path(key)
         try:
-            return path.read_text(encoding="utf-8")
+            with open(self._file_path(key), encoding="utf-8") as handle:
+                return handle.read()
         except FileNotFoundError:
             return None
         except OSError as exc:
             raise StorageError(f"cannot read {key}: {exc}") from exc
 
-    def _keys_under(self, prefix: StoreKey) -> Iterator[StoreKey]:
-        base = self._dir_path(prefix)
-        if not base.is_dir():
-            return
-        for dirpath, dirnames, filenames in os.walk(base):
-            dirnames.sort()
-            rel = Path(dirpath).relative_to(self.root)
-            for name in sorted(filenames):
-                if name.endswith(_FILE_SUFFIX):
-                    try:
-                        key = StoreKey(rel.parts + (name[: -len(_FILE_SUFFIX)],))
-                    except ValidationError:
-                        # Not a name the store writes, as with ``.put-*.tmp``
-                        # leftovers: a stray file or directory is passed over.
-                        continue
-                    yield key
+    def children(self, prefix: StoreKey) -> list[str]:
+        """Sorted names of the directories directly under ``prefix``.
+
+        Only names that can extend ``prefix`` into a key are returned; a
+        stray name is passed over, as ``list`` passes over stray files.
+        """
+        try:
+            with os.scandir(self._dir_path(prefix)) as entries:
+                names = [entry.name for entry in entries if entry.is_dir()]
+        except (FileNotFoundError, NotADirectoryError):
+            return []
+        except OSError as exc:
+            raise StorageError(f"cannot list {prefix}: {exc}") from exc
+        children = []
+        for name in sorted(names):
+            try:
+                prefix.child(name)
+            except ValidationError:
+                continue
+            children.append(name)
+        return children
 
     def list(self, prefix: StoreKey) -> list[StoreKey]:
         """All keys equal to or nested under ``prefix``, sorted by rendering."""
-        keys = list(self._keys_under(prefix))
-        if self._file_path(prefix).is_file():
-            keys.append(prefix)
+        base = self._dir_path(prefix)  # a missing ``base`` walks as empty
+        keys = [prefix] if os.path.isfile(self._file_path(prefix)) else []
+        for dirpath, _, filenames in os.walk(base):
+            segments = prefix.segments + tuple(dirpath[len(base) :].split(os.sep)[1:])
+            for name in filenames:
+                if name.endswith(_FILE_SUFFIX):
+                    try:
+                        keys.append(StoreKey(segments + (name[: -len(_FILE_SUFFIX)],)))
+                    except ValidationError:
+                        # Not a name the store writes, as with ``.put-*.tmp``
+                        # leftovers: a stray file or directory is passed over.
+                        pass
         return sorted(keys, key=StoreKey.render)
 
     def delete(self, prefix: StoreKey) -> int:
@@ -213,20 +231,19 @@ class FileStore:
         count = len(self.list(prefix))
         try:
             subtree = self._dir_path(prefix)
-            if subtree.is_dir():
+            if os.path.isdir(subtree):
                 shutil.rmtree(subtree)
             file_path = self._file_path(prefix)
-            if file_path.is_file():
-                file_path.unlink()
+            if os.path.isfile(file_path):
+                os.unlink(file_path)
         except OSError as exc:
             raise StorageError(f"cannot delete {prefix}: {exc}") from exc
         return count
 
     def remove(self, key: StoreKey) -> bool:
         """Remove exactly one document, leaving any nested keys in place."""
-        path = self._file_path(key)
         try:
-            path.unlink()
+            os.unlink(self._file_path(key))
             return True
         except FileNotFoundError:
             return False

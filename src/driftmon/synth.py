@@ -103,11 +103,12 @@ def _write_prediction_file(
     header = ["unit_id", "eval_date", "prediction"]
     header += [f"f{j + 1}" for j in range(features.shape[1])]
     iso = eval_date.isoformat()
+    # No field can need quoting (unit ids, an ISO date, float reprs), so the
+    # rows are formatted directly: the same bytes as csv.writer, faster.
     with path.open("w", newline="", encoding="utf-8") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(
-            [unit, iso, *map(repr, values)]
+        stream.write(",".join(header) + "\n")
+        stream.writelines(
+            f"{unit},{iso},{','.join(map(repr, values))}\n"
             for unit, values in zip(unit_ids, np.column_stack((predictions, features)).tolist())
         )
 

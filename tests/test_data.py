@@ -3,10 +3,13 @@ data generator."""
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftmon import (
@@ -25,6 +28,7 @@ from driftmon import (
     open_dataset,
     read_columns,
 )
+from driftmon import synth
 from driftmon.data import _BLOCK_ROWS
 
 PREDICTION_HEADER = "unit_id,eval_date,prediction,f1\n"
@@ -319,6 +323,28 @@ class TestSynthSpec:
 
 
 class TestGenerateSynthetic:
+    def test_prediction_rows_match_a_csv_writer_byte_for_byte(self, tmp_path: Path) -> None:
+        """The writer formats rows itself; csv.writer is the reference."""
+        predictions = np.array([0.0, -0.0, 1e-300, 1e300, -2.5, 0.1])
+        features = np.array(
+            [
+                [-1.0, 3.0], [0.0, -0.0], [1e300, -1e-300],
+                [-7.25, 1e-5], [2.0**-1074, -1e16], [1.0, 0.3],
+            ]
+        )
+        units = [f"u{i:04d}" for i in range(len(predictions))]
+        path = tmp_path / "p.csv"
+        synth._write_prediction_file(path, units, date(2022, 3, 7), predictions, features)
+
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["unit_id", "eval_date", "prediction", "f1", "f2"])
+        writer.writerows(
+            [unit, "2022-03-07", repr(p), *map(repr, row)]
+            for unit, p, row in zip(units, predictions.tolist(), features.tolist())
+        )
+        assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
     def test_same_seed_gives_byte_identical_files(self, tmp_path: Path) -> None:
         spec = SynthSpec(n_units=200, seed=42)
         first = generate_synthetic(spec, tmp_path / "a")

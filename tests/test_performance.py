@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,21 @@ class TestVelocityChecks:
                     metric([bad], [1.0])
                 with pytest.raises(ValidationError):
                     metric([1.0], [bad])
+
+    @pytest.mark.parametrize(
+        "bad", [-0.1, -math.inf, math.inf, math.nan, "1.0", None, Fraction(1, 2)]
+    )
+    def test_names_the_first_offending_value(self, bad) -> None:
+        values = [0.0, 2.5, bad, -5.0]
+        for metric in (mae, wmape):
+            with pytest.raises(ValidationError) as info:
+                metric(values, [1.0] * 4)
+            assert str(info.value) == (
+                f"predicted velocity must be finite and non-negative, got {bad!r}"
+            )
+            with pytest.raises(ValidationError) as info:
+                metric([1.0] * 4, values)
+            assert str(info.value).startswith("actual velocity")
 
     def test_rejects_unequal_lengths(self) -> None:
         for metric in (mae, wmape):

@@ -161,6 +161,20 @@ class TestFileStore:
         (deep / "e.json").write_text("{}\n", encoding="utf-8")
         assert store.list(StoreKey.of("model", "m1")) == [key]
 
+    def test_children_are_the_sorted_directory_names_that_form_keys(
+        self, store: FileStore, tmp_path: Path
+    ) -> None:
+        metrics = StoreKey.of("model", "m1", "metrics")
+        for day in ("2022-03-21", "2022-03-20", "2022-03-22"):
+            store.put(metrics.child(day, "f1"), dumps_doc({}))
+        root = tmp_path / "store" / "model" / "m1" / "metrics"
+        (root / "2022-03-20 old").mkdir()
+        (root / "notes.json").write_text("{}\n", encoding="utf-8")
+        assert store.children(metrics) == ["2022-03-20", "2022-03-21", "2022-03-22"]
+        assert store.children(metrics.child("2022-03-20")) == []  # documents only
+        assert store.children(metrics.child("notes.json")) == []  # a file
+        assert store.children(StoreKey.of("ghost")) == []
+
     def test_list_includes_document_at_the_prefix_itself(self, store: FileStore) -> None:
         store.put(StoreKey.of("model", "m1"), dumps_doc({"id": "m1"}))
         store.put(StoreKey.of("model", "m1", "monitor", "d1"), dumps_doc({}))
