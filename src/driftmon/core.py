@@ -522,12 +522,11 @@ class MonitoringService:
     ) -> list[MetricRecord]:
         if sales is None:
             raise ValidationError("a performance monitor run needs daily sales data (--sales)")
-        pairs, excluded = assemble_velocity_pairs(data, sales, eval_date)
-        if not pairs:
+        predicted, actual, excluded = assemble_velocity_pairs(data, sales, eval_date)
+        if not predicted:
             raise PreconditionError(
                 f"no predictions found for {eval_date.isoformat()} in {data.path}"
             )
-        predicted, actual = zip(*pairs.values())
         return [
             MetricRecord(
                 model_id=config.model_id,
@@ -537,7 +536,7 @@ class MonitoringService:
                 metrics={"mae": mae(predicted, actual), "wmape": wmape(predicted, actual)},
                 context={
                     "computed_at": _iso_seconds(_now()),
-                    "n": len(pairs),
+                    "n": len(predicted),
                     "n_excluded": excluded,
                 },
             )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
@@ -151,16 +152,17 @@ def assemble_velocity_pairs(
     predictions: DatasetHandle,
     sales: DatasetHandle,
     forecast_date: date,
-) -> tuple[dict[str, tuple[float, float]], int]:
+) -> tuple[array, array, int]:
     """Join forecasts with realised 7-day velocities.
 
     Takes each unit predicted for ``forecast_date`` and averages its sales
     over the window starting that day, treating absent unit-days as zero.
-    Returns ``unit_id -> (predicted, actual)`` velocities, in unit-id order,
-    and the count of predicted units excluded because their prediction cell
-    was blank.  Duplicate prediction rows for a unit keep the last one.
-    Every velocity is finite and non-negative: ``_number`` rejects any
-    other cell.
+    Returns ``(predicted, actual, excluded)``: two equal-length
+    ``array('d')`` of velocities, one entry per scored unit in the order
+    each unit first appears in the predictions file, and the count of
+    predicted units excluded because their prediction cell was blank.
+    Duplicate prediction rows for a unit keep the last one.  Every velocity
+    is finite and non-negative: ``_number`` rejects any other cell.
     """
     if predictions.kind is DatasetKind.DAILY_SALES:
         raise ValidationError("predictions handle must be a training or daily_inference dataset")
@@ -171,22 +173,32 @@ def assemble_velocity_pairs(
     window = {
         (forecast_date + timedelta(days=i)).isoformat(): i for i in range(VELOCITY_WINDOW_DAYS)
     }
+    days = VELOCITY_WINDOW_DAYS
 
-    # None marks a unit whose (last) prediction cell was blank.
-    rows: dict[str, float | None] = {}
+    # Per-unit state lives in flat buffers addressed through one index, so
+    # a run holds a few bytes per unit rather than Python objects.  NaN
+    # marks a unit whose (last) prediction cell was blank; ``_number``
+    # rejects every non-finite cell, so no real prediction reads NaN.
+    index: dict[str, int] = {}
+    predicted = array("d")
     target = forecast_date.isoformat()
     for line, (day, unit, cell) in _rows(predictions, ("eval_date", "unit_id", "prediction")):
         if day != target:
             continue
         if not unit:
             raise SchemaError(f"{predictions.path}:{line}: missing unit_id")
-        rows[unit] = (
-            _number(predictions, line, "prediction", cell, non_negative=True) if cell else None
+        value = (
+            _number(predictions, line, "prediction", cell, non_negative=True) if cell else math.nan
         )
-    predicted = {unit: v for unit, v in rows.items() if v is not None}
-    excluded = len(rows) - len(predicted)
+        i = index.setdefault(unit, len(predicted))
+        if i == len(predicted):
+            predicted.append(value)
+        else:
+            predicted[i] = value
 
-    daily: dict[str, list[float]] = {}
+    # Seven day slots per indexed unit.  Sales of units with no prediction
+    # are still checked, so a bad cell fails wherever it sits, but not kept.
+    slots = array("d", [0.0]) * (days * len(predicted))
     dates_seen: set[str] = set()
     for line, (day, unit, cell) in _rows(sales, ("date", "unit_id", "units")):
         if not day:
@@ -196,7 +208,11 @@ def assemble_velocity_pairs(
         if offset is None:
             continue
         units = _number(sales, line, "units", cell, non_negative=True)
-        daily.setdefault(unit, [0.0] * VELOCITY_WINDOW_DAYS)[offset] += units
+        i = index.get(unit)
+        if i is not None:
+            slots[i * days + offset] += units
+    # The index is the largest buffer; drop it before the velocities grow.
+    del index
 
     missing_days = [d for d in window if d not in dates_seen]
     if missing_days:
@@ -205,8 +221,10 @@ def assemble_velocity_pairs(
             f"the {VELOCITY_WINDOW_DAYS}-day window from {target} is incomplete"
         )
 
-    pairs = {
-        unit: (predicted[unit], math.fsum(daily.get(unit, ())) / VELOCITY_WINDOW_DAYS)
-        for unit in sorted(predicted)
-    }
-    return pairs, excluded
+    scored = array("d")
+    actual = array("d")
+    for i, value in enumerate(predicted):
+        if not math.isnan(value):
+            scored.append(value)
+            actual.append(math.fsum(slots[i * days : (i + 1) * days]) / days)
+    return scored, actual, len(predicted) - len(scored)

@@ -169,7 +169,9 @@ class QuantileSketch:
         best = self._tuples[0][0]
         for value, g, delta in self._tuples:
             min_rank += g
-            if min_rank + delta > target + allowed:
+            # Integer left side: ``target + allowed`` can round up to the
+            # next integer when ``epsilon * count`` sits just below one.
+            if min_rank + delta - target > allowed:
                 return best
             best = value
         return best

@@ -4,8 +4,12 @@ data generator."""
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import logging
+import random
+import tracemalloc
+from array import array
 from datetime import date
 from pathlib import Path
 
@@ -25,8 +29,10 @@ from driftmon import (
     drift_evaluate,
     generate_synthetic,
     ks_critical_distance,
+    mae,
     open_dataset,
     read_columns,
+    wmape,
 )
 from driftmon import synth
 from driftmon.data import _BLOCK_ROWS
@@ -191,9 +197,9 @@ class TestAssembleVelocityPairs:
             PREDICTION_HEADER + "u1,2022-03-20,1.0,0.0\n",
             self.full_window({"2022-03-22": [("u1", 7.0)]}),
         )
-        pairs, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        predicted, actual, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
         assert excluded == 0
-        assert pairs == {"u1": (1.0, 1.0)}
+        assert (predicted, actual) == (array("d", [1.0]), array("d", [1.0]))
 
     def test_steady_sales_of_seven_a_day_mean_velocity_seven(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -201,8 +207,8 @@ class TestAssembleVelocityPairs:
             PREDICTION_HEADER + "u1,2022-03-20,1.0,0.0\n",
             self.full_window({day: [("u1", 7.0)] for day in self.WINDOW}),
         )
-        pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
-        assert pairs == {"u1": (1.0, 7.0)}
+        predicted, actual, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        assert (predicted, actual) == (array("d", [1.0]), array("d", [7.0]))
 
     def test_unit_without_sales_rows_has_zero_velocity(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -210,8 +216,8 @@ class TestAssembleVelocityPairs:
             PREDICTION_HEADER + "u1,2022-03-20,2.5,0.0\n",
             self.full_window(),
         )
-        pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
-        assert pairs == {"u1": (2.5, 0.0)}
+        predicted, actual, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        assert (predicted, actual) == (array("d", [2.5]), array("d", [0.0]))
 
     def test_duplicate_unit_day_sales_are_summed(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -219,8 +225,8 @@ class TestAssembleVelocityPairs:
             PREDICTION_HEADER + "u1,2022-03-20,1.0,0.0\n",
             self.full_window({"2022-03-21": [("u1", 3.0), ("u1", 4.0)]}),
         )
-        pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
-        assert pairs["u1"][1] == 1.0
+        _, actual, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        assert actual == array("d", [1.0])
 
     def test_sales_outside_window_are_ignored(self, tmp_path: Path) -> None:
         sales_text = self.full_window({"2022-03-20": [("u1", 7.0)]})
@@ -228,8 +234,8 @@ class TestAssembleVelocityPairs:
         pred, sales = self.handles(
             tmp_path, PREDICTION_HEADER + "u1,2022-03-20,1.0,0.0\n", sales_text
         )
-        pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
-        assert pairs["u1"][1] == 1.0
+        _, actual, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        assert actual == array("d", [1.0])
 
     def test_blank_predictions_are_excluded_and_counted(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -238,9 +244,20 @@ class TestAssembleVelocityPairs:
             + "u1,2022-03-20,1.0,0.0\nu2,2022-03-20,,0.0\nu3,2022-03-20,2.0,0.0\n",
             self.full_window(),
         )
-        pairs, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        predicted, actual, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
         assert excluded == 1
-        assert list(pairs) == ["u1", "u3"]
+        assert (predicted, actual) == (array("d", [1.0, 2.0]), array("d", [0.0, 0.0]))
+
+    def test_blank_row_after_a_valid_one_excludes_the_unit(self, tmp_path: Path) -> None:
+        pred, sales = self.handles(
+            tmp_path,
+            PREDICTION_HEADER
+            + "u1,2022-03-20,4.0,0.0\nu2,2022-03-20,2.0,0.0\nu1,2022-03-20,,0.0\n",
+            self.full_window({"2022-03-21": [("u1", 7.0)]}),
+        )
+        predicted, actual, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        assert excluded == 1
+        assert (predicted, actual) == (array("d", [2.0]), array("d", [0.0]))
 
     def test_duplicate_prediction_rows_keep_the_last(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -248,19 +265,54 @@ class TestAssembleVelocityPairs:
             PREDICTION_HEADER + "u1,2022-03-20,,0.0\nu1,2022-03-20,4.0,0.0\n",
             self.full_window(),
         )
-        pairs, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        predicted, _, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
         assert excluded == 0
-        assert pairs["u1"][0] == 4.0
+        assert predicted == array("d", [4.0])
 
-    def test_output_is_sorted_by_unit_id(self, tmp_path: Path) -> None:
-        pred, sales = self.handles(
-            tmp_path,
-            PREDICTION_HEADER
-            + "zz,2022-03-20,1.0,0.0\naa,2022-03-20,1.0,0.0\nmm,2022-03-20,1.0,0.0\n",
-            self.full_window(),
-        )
-        pairs, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
-        assert list(pairs) == ["aa", "mm", "zz"]
+    def test_row_order_does_not_change_the_scores(self, tmp_path: Path) -> None:
+        """Velocities come out in file order, and ``mae`` and ``wmape`` sum
+        exactly, so shuffling both files leaves their bits unchanged."""
+        rng = random.Random(11)
+        pred_rows = [
+            f"u{i},2022-03-20,{rng.uniform(0.0, 10.0 ** rng.randint(-3, 3))!r},0.0"
+            for i in range(300)
+        ]
+        sales_lines = [
+            f"u{rng.randrange(400)},{day},{rng.randint(1, 9)}"
+            for day in self.WINDOW
+            for _ in range(150)
+        ]
+        scores = []
+        for attempt in range(3):
+            if attempt:
+                rng.shuffle(pred_rows)
+                rng.shuffle(sales_lines)
+            pred, sales = self.handles(
+                tmp_path,
+                PREDICTION_HEADER + "\n".join(pred_rows) + "\n",
+                SALES_HEADER + "\n".join(sales_lines) + "\n",
+            )
+            predicted, actual, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
+            assert (len(predicted), len(actual), excluded) == (300, 300, 0)
+            scores.append((mae(predicted, actual).hex(), wmape(predicted, actual).hex()))
+        assert scores[1:] == scores[:1] * 2
+
+    def test_memory_per_unit_stays_flat(self, tmp_path: Path) -> None:
+        """The result holds two doubles per unit, and the call's peak is
+        one index entry plus seven day slots per unit, not Python objects."""
+        n = 20_000
+        _, inference, sales = generate_synthetic(SynthSpec(n_units=n, seed=5), tmp_path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result[0]) == n
+        assert (held - base) / n <= 32, f"result holds {(held - base) / n:.1f} B/unit"
+        assert (peak - base) / n <= 270, f"call peaks at {(peak - base) / n:.1f} B/unit"
 
     def test_missing_window_day_is_a_precondition_error(self, tmp_path: Path) -> None:
         days = {d: [("filler", 0.0)] for d in self.WINDOW if d != "2022-03-23"}
@@ -276,6 +328,7 @@ class TestAssembleVelocityPairs:
             ("u2,2022-03-20,-1.0,0.0", "", r"pred\.csv:3: negative value '-1\.0'"),
             ("u2,2022-03-20,abc,0.0", "", r"pred\.csv:3: cannot parse 'abc'"),
             ("", "u1,2022-03-21,lots", r"sales\.csv:9: cannot parse 'lots'"),
+            ("", "u9,2022-03-21,lots", r"sales\.csv:9: cannot parse 'lots'"),
             ("", "u1,2022-03-21,-2", r"sales\.csv:9: negative value '-2'"),
             (",2022-03-20,1.0,0.0", "", r"pred\.csv:3: missing unit_id"),
             ("", "u1,,3", r"sales\.csv:9: missing date"),
