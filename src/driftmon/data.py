@@ -1,8 +1,19 @@
-"""CSV dataset access: handles, one-pass column streams, and velocity assembly.
+"""CSV dataset access: handles, columnar block reads, and velocity assembly.
 
-All files are plain UTF-8 CSV with a header row and ISO-8601 dates.
-Prediction files carry one row per unit and evaluation date; sales files
-are sparse, so a unit-day with no row means zero units sold that day.
+All files are UTF-8 CSV with a header row and ISO-8601 dates; a leading
+byte-order mark, as spreadsheet exports write, is skipped.  Prediction
+files carry one row per unit and evaluation date; sales files are sparse,
+so a unit-day with no row means zero units sold that day.
+
+Every data file is read by one columnar block reader, ``_column_blocks``.
+It cuts the non-empty data rows into blocks of at most ``_BLOCK_ROWS`` and
+hands over one list of stripped cells per requested column, each built in
+one pass in C.  The callers parse a whole column of a block with
+``map(float, ...)`` and check it in one pass as well; only a block that
+fails that check is walked row by row, with the checks and messages of a
+row-by-row read, so the first bad row in file order is the one reported.
+Blocks carry no line numbers: the ``file:line`` of a bad row is resolved on
+the error path alone, by reading the file again up to that row (``_line``).
 """
 
 from __future__ import annotations
@@ -14,7 +25,8 @@ from array import array
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
-from itertools import islice
+from itertools import filterfalse, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -42,6 +54,10 @@ _REQUIRED_COLUMNS = {
 #: whatever the file size.
 _BLOCK_ROWS = 256
 
+#: ``utf-8-sig`` reads plain UTF-8 and drops a leading byte-order mark,
+#: which would otherwise glue itself to the first header name.
+_ENCODING = "utf-8-sig"
+
 
 class DatasetKind(str, Enum):
     TRAINING = "training"
@@ -63,7 +79,7 @@ def open_dataset(path: Path | str, kind: DatasetKind | str) -> DatasetHandle:
     kind = DatasetKind(kind)
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding=_ENCODING) as handle:
             header = next(csv.reader(handle), None)
     except OSError as exc:
         raise StorageError(f"cannot open dataset {path}: {exc}") from exc
@@ -75,43 +91,76 @@ def open_dataset(path: Path | str, kind: DatasetKind | str) -> DatasetHandle:
     return DatasetHandle(path=path, kind=kind, columns=tuple(header))
 
 
-def _rows(handle: DatasetHandle, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line, cells)`` for each non-empty data row of ``handle``.
+def _column_blocks(
+    handle: DatasetHandle, columns: tuple[str, ...]
+) -> Iterator[tuple[int, list[list[str]]]]:
+    """Yield ``(first, cells)`` for each block of non-empty data rows.
 
-    ``cells`` holds the stripped cells of ``columns``, in that order; a row
-    too short to reach a column reads it as blank.  A header name that
-    occurs twice resolves to its last occurrence.  ``line`` is the physical
-    line the row ends on, so blank lines are counted.
+    ``cells`` holds, per name in ``columns``, the stripped cells of that
+    column for up to ``_BLOCK_ROWS`` rows in file order, and ``first`` is
+    the ordinal of the block's first row among the non-empty data rows,
+    counting from 0.  A row too short to reach a column reads it as blank.
+    A header name that occurs twice resolves to its last occurrence.
     """
     position = {name: i for i, name in enumerate(handle.columns)}
     picks = [position[column] for column in columns]
     width = max(picks, default=-1) + 1
-    with handle.path.open(newline="", encoding="utf-8") as stream:
+    first = 0
+    with handle.path.open(newline="", encoding=_ENCODING) as stream:
         reader = csv.reader(stream)
         next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            yield reader.line_num, [row[i].strip() for i in picks]
+        rows = filter(None, reader)
+        while chunk := list(islice(rows, _BLOCK_ROWS)):
+            if min(map(len, chunk)) < width:
+                chunk = [row + [""] * (width - len(row)) for row in chunk]
+            yield first, [list(map(str.strip, map(itemgetter(i), chunk))) for i in picks]
+            first += len(chunk)
+
+
+def _line(handle: DatasetHandle, row: int) -> int:
+    """The physical line that non-empty data row ``row`` (from 0) ends on.
+
+    Only error messages need it, so it reads the file again.  ``line_num``
+    counts blank lines and the lines of a quoted cell holding newlines.
+    """
+    with handle.path.open(newline="", encoding=_ENCODING) as stream:
+        reader = csv.reader(stream)
+        next(reader, None)
+        next(islice(filter(None, reader), row, None))
+        return reader.line_num
+
+
+def _error(handle: DatasetHandle, row: int, problem: str) -> SchemaError:
+    return SchemaError(f"{handle.path}:{_line(handle, row)}: {problem}")
 
 
 def _number(
-    handle: DatasetHandle, line: int, column: str, cell: str, *, non_negative: bool = False
+    handle: DatasetHandle, row: int, column: str, cell: str, *, non_negative: bool = False
 ) -> float:
-    """Parse one numeric cell, naming file, line and column on failure."""
+    """Parse one numeric cell of data row ``row``, naming file, line and
+    column on failure."""
     try:
         value = float(cell)
     except ValueError:
-        raise SchemaError(
-            f"{handle.path}:{line}: cannot parse {cell!r} in column {column!r}"
-        ) from None
+        raise _error(handle, row, f"cannot parse {cell!r} in column {column!r}") from None
     if not math.isfinite(value):
-        raise SchemaError(f"{handle.path}:{line}: non-finite value {cell!r} in column {column!r}")
+        raise _error(handle, row, f"non-finite value {cell!r} in column {column!r}")
     if non_negative and value < 0.0:
-        raise SchemaError(f"{handle.path}:{line}: negative value {cell!r} in column {column!r}")
+        raise _error(handle, row, f"negative value {cell!r} in column {column!r}")
     return value
+
+
+def _floats(cells: list[str], *, non_negative: bool = False) -> list[float] | None:
+    """Parse a non-empty column of a block in C passes, or return ``None``
+    if any cell is blank, unparseable, non-finite or, with
+    ``non_negative``, negative; ``_number`` then says which."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, values)) or (non_negative and min(values) < 0.0):
+        return None
+    return values
 
 
 def read_columns(
@@ -121,8 +170,13 @@ def read_columns(
 
     Each block is a tuple holding, per requested column, a list of that
     column's non-blank values from up to ``_BLOCK_ROWS`` rows, in file order.
-    Blanks are counted per column and logged once the file is exhausted.  An
-    unknown column is a schema error raised here, before any row is read.
+    Each column of a block is parsed and checked in one pass; a column that
+    holds a blank or a bad cell is then read cell by cell, so blanks are
+    counted and the first bad cell in file order raises a ``SchemaError``
+    naming its file, line and column.  The line is found by reading the file
+    again, on that error path only.  Blanks are logged once the file is
+    exhausted.  An unknown column is a schema error raised here, before any
+    row is read.
     """
     columns = tuple(columns)
     for column in columns:
@@ -133,16 +187,21 @@ def read_columns(
 
 def _blocks(handle: DatasetHandle, columns: tuple[str, ...]) -> Iterator[tuple[list[float], ...]]:
     blanks = [0] * len(columns)
-    rows = _rows(handle, columns)
-    while chunk := list(islice(rows, _BLOCK_ROWS)):
-        block: tuple[list[float], ...] = tuple([] for _ in columns)
-        for line, cells in chunk:
-            for i, cell in enumerate(cells):
-                if cell:
-                    block[i].append(_number(handle, line, columns[i], cell))
-                else:
-                    blanks[i] += 1
-        yield block
+    for first, cells in _column_blocks(handle, columns):
+        block = [_floats(column) for column in cells]
+        slow = [i for i, values in enumerate(block) if values is None]
+        if slow:
+            # Row by row over the columns that failed, so the first bad cell
+            # in file order is the one reported: the other columns hold none.
+            for i in slow:
+                block[i] = []
+            for row, picked in enumerate(zip(*(cells[i] for i in slow)), first):
+                for i, cell in zip(slow, picked):
+                    if cell:
+                        block[i].append(_number(handle, row, columns[i], cell))
+                    else:
+                        blanks[i] += 1
+        yield tuple(block)
     for column, count in zip(columns, blanks):
         if count:
             log.warning("%s: skipped %d blank cell(s) in column %r", handle.path, count, column)
@@ -182,37 +241,71 @@ def assemble_velocity_pairs(
     index: dict[str, int] = {}
     predicted = array("d")
     target = forecast_date.isoformat()
-    for line, (day, unit, cell) in _rows(predictions, ("eval_date", "unit_id", "prediction")):
-        if day != target:
+    for first, (dates, units, cells) in _column_blocks(
+        predictions, ("eval_date", "unit_id", "prediction")
+    ):
+        rows: Sequence[int] = range(first, first + len(dates))
+        if dates.count(target) != len(dates):
+            keep = [k for k, day in enumerate(dates) if day == target]
+            if not keep:
+                continue
+            rows = [first + k for k in keep]
+            units = [units[k] for k in keep]
+            cells = [cells[k] for k in keep]
+        values = _floats(cells, non_negative=True) if all(units) else None
+        if values is None:
+            # Row by row, so the first bad row in file order is the one
+            # reported; a blank prediction marks its unit excluded.
+            values = []
+            for row, unit, cell in zip(rows, units, cells):
+                if not unit:
+                    raise _error(predictions, row, "missing unit_id")
+                values.append(
+                    _number(predictions, row, "prediction", cell, non_negative=True)
+                    if cell
+                    else math.nan
+                )
+        # Units unique in the block and new to the index append in one step;
+        # otherwise a repeated unit's later row overwrites its value.
+        n = len(predicted)
+        if len(set(units)) == len(units) and index.keys().isdisjoint(units):
+            index.update(zip(units, range(n, n + len(units))))
+            predicted.extend(values)
             continue
-        if not unit:
-            raise SchemaError(f"{predictions.path}:{line}: missing unit_id")
-        value = (
-            _number(predictions, line, "prediction", cell, non_negative=True) if cell else math.nan
-        )
-        i = index.setdefault(unit, len(predicted))
-        if i == len(predicted):
-            predicted.append(value)
-        else:
-            predicted[i] = value
+        for unit, value in zip(units, values):
+            i = index.setdefault(unit, len(predicted))
+            if i == len(predicted):
+                predicted.append(value)
+            else:
+                predicted[i] = value
 
     # Seven day slots per indexed unit.  Sales of units with no prediction
-    # are still checked, so a bad cell fails wherever it sits, but not kept.
+    # are still checked, so a bad cell in the window fails wherever it
+    # sits, but not kept; a cell outside the window is never read.
     slots = array("d", [0.0]) * (days * len(predicted))
     dates_seen: set[str] = set()
-    for line, (day, unit, cell) in _rows(sales, ("date", "unit_id", "units")):
-        if not day:
-            raise SchemaError(f"{sales.path}:{line}: missing date")
-        dates_seen.add(day)
-        offset = window.get(day)
-        if offset is None:
-            continue
-        units = _number(sales, line, "units", cell, non_negative=True)
-        i = index.get(unit)
-        if i is not None:
-            slots[i * days + offset] += units
-    # The index is the largest buffer; drop it before the velocities grow.
-    del index
+    position = index.get
+    for first, (dates, units, cells) in _column_blocks(sales, ("date", "unit_id", "units")):
+        offsets = list(map(window.get, dates))
+        values = _floats(cells, non_negative=True) if all(dates) else None
+        if values is None:
+            # Row by row: a blank date fails anywhere, a cell only in the window.
+            values = []
+            for row, (day, offset, cell) in enumerate(zip(dates, offsets, cells), first):
+                if not day:
+                    raise _error(sales, row, "missing date")
+                values.append(
+                    None if offset is None else _number(sales, row, "units", cell, non_negative=True)
+                )
+        dates_seen.update(dates)
+        for unit, offset, value in zip(units, offsets, values):
+            if offset is not None:
+                i = position(unit)
+                if i is not None:
+                    slots[i * days + offset] += value
+    # The index is the largest buffer; drop it, and the bound method that
+    # keeps it alive, before the velocities grow.
+    del index, position
 
     missing_days = [d for d in window if d not in dates_seen]
     if missing_days:
@@ -221,10 +314,14 @@ def assemble_velocity_pairs(
             f"the {VELOCITY_WINDOW_DAYS}-day window from {target} is incomplete"
         )
 
-    scored = array("d")
-    actual = array("d")
-    for i, value in enumerate(predicted):
-        if not math.isnan(value):
-            scored.append(value)
-            actual.append(math.fsum(slots[i * days : (i + 1) * days]) / days)
-    return scored, actual, len(predicted) - len(scored)
+    actual = array(
+        "d",
+        [
+            math.fsum(slots[j : j + days]) / days
+            for j, value in zip(range(0, len(slots), days), predicted)
+            if not math.isnan(value)
+        ],
+    )
+    if len(actual) == len(predicted):
+        return predicted, actual, 0
+    return array("d", filterfalse(math.isnan, predicted)), actual, len(predicted) - len(actual)

@@ -9,6 +9,8 @@ defined instead of blowing up the percentage.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, sub, truediv
 from typing import Sequence
 
 from .errors import ValidationError
@@ -58,13 +60,15 @@ def _check_velocities(metric: str, predicted: Sequence[float], actual: Sequence[
 def mae(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Mean absolute error of predicted vs actual velocity, unit by unit."""
     _check_velocities("mae", predicted, actual)
-    return math.fsum(abs(p - a) for p, a in zip(predicted, actual)) / len(predicted)
+    return math.fsum(map(abs, map(sub, predicted, actual))) / len(predicted)
 
 
 def wmape(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Mean percentage error weighted against ``actual + 1`` per unit."""
     _check_velocities("wmape", predicted, actual)
-    total = math.fsum(abs(p - a) / (a + WMAPE_OFFSET) for p, a in zip(predicted, actual))
+    total = math.fsum(
+        map(truediv, map(abs, map(sub, predicted, actual)), map(add, actual, repeat(WMAPE_OFFSET)))
+    )
     return total / len(predicted) * 100.0
 
 

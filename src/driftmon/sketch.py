@@ -13,7 +13,7 @@ query answerable within ``epsilon * n`` ranks while holding far fewer than
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import itemgetter
 
@@ -161,17 +161,35 @@ class QuantileSketch:
             raise ValidationError(f"probability must be in [0, 1], got {p!r}")
         if not self._tuples:
             raise EmptySummaryError("cannot query an empty summary")
-        target = math.ceil(p * self._count)
-        if target <= 0:
-            return self._tuples[0][0]
+        return self._ascending_quantiles((p,))[0]
+
+    def _ascending_quantiles(self, ps: Iterable[float]) -> list[float]:
+        """``query`` for each of ``ps``, ascending probabilities in [0, 1],
+        in one walk over the tuples.
+
+        A query answers with the value before the first tuple whose
+        ``min_rank + delta`` passes ``ceil(p * count) + epsilon * count``.
+        That tuple never moves left as ``p`` rises, so each probability
+        resumes the walk where the last one stopped: the cost is points plus
+        tuples, not their product.
+        """
+        tuples = self._tuples
         allowed = self._epsilon * self._count
-        min_rank = 0
-        best = self._tuples[0][0]
-        for value, g, delta in self._tuples:
-            min_rank += g
-            # Integer left side: ``target + allowed`` can round up to the
-            # next integer when ``epsilon * count`` sits just below one.
-            if min_rank + delta - target > allowed:
-                return best
-            best = value
-        return best
+        answers = []
+        j = 0  # every tuple before tuples[j] passes the current target
+        min_rank = 0  # sum of g over tuples[:j]
+        for p in ps:
+            target = math.ceil(p * self._count)
+            if target <= 0:
+                answers.append(tuples[0][0])
+                continue
+            while j < len(tuples):
+                _, g, delta = tuples[j]
+                # Integer left side: ``target + allowed`` can round up to the
+                # next integer when ``epsilon * count`` sits just below one.
+                if min_rank + g + delta - target > allowed:
+                    break
+                min_rank += g
+                j += 1
+            answers.append(tuples[max(j - 1, 0)][0])
+        return answers

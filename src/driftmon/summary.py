@@ -104,7 +104,7 @@ def build_cdf(sketch: QuantileSketch, points: int, label: str) -> ApproxCdf:
         grid = [1.0]
     else:
         grid = [float(p) for p in np.linspace(1.0 / n, 1.0, points)]
-    breakpoints = tuple(sketch.query(p) for p in grid)
+    breakpoints = tuple(sketch._ascending_quantiles(grid))
     return ApproxCdf(
         label=label,
         sample_count=n,

@@ -7,14 +7,20 @@ import csv
 import gc
 import io
 import logging
+import math
 import random
+import tempfile
 import tracemalloc
 from array import array
-from datetime import date
+from contextlib import contextmanager
+from datetime import date, timedelta
+from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftmon import (
     DatasetKind,
@@ -355,6 +361,292 @@ class TestAssembleVelocityPairs:
             assemble_velocity_pairs(sales, sales, self.FORECAST)
         with pytest.raises(ValidationError, match="sales handle"):
             assemble_velocity_pairs(pred, pred, self.FORECAST)
+
+    def test_a_byte_order_mark_changes_nothing(self, tmp_path: Path) -> None:
+        """Spreadsheet exports start with a UTF-8 BOM; the files score, and
+        read, exactly as they do without it."""
+        pred_text = PREDICTION_HEADER + "u1,2022-03-20,1.5,2.0\nu2,2022-03-20,,3.0\n"
+        sales_text = self.full_window({"2022-03-21": [("u1", 7.0)]})
+        results = []
+        for bom in ("", "\ufeff"):
+            folder = tmp_path / f"bom{len(bom)}"
+            folder.mkdir()
+            pred, sales = self.handles(folder, bom + pred_text, bom + sales_text)
+            assert pred.columns[0] == "unit_id" and sales.columns[0] == "unit_id"
+            predicted, actual, excluded = assemble_velocity_pairs(pred, sales, self.FORECAST)
+            results.append(
+                (
+                    predicted.tobytes(),
+                    actual.tobytes(),
+                    excluded,
+                    mae(predicted, actual).hex(),
+                    wmape(predicted, actual).hex(),
+                    list(read_columns(pred, ["f1", "prediction"])),
+                )
+            )
+        assert results[0] == results[1]
+        assert results[0][2] == 1
+
+
+# Reference implementations: the row-by-row reader and join that the
+# columnar block reader replaced.  They stay here as the oracle, as
+# ``reference_insert`` does for ``QuantileSketch.extend``: the library must
+# return bit-identical results, or raise the same error with the same
+# ``file:line`` message.
+
+
+def reference_rows(handle, columns):
+    """Yield ``(line, cells)`` for each non-empty data row of ``handle``."""
+    position = {name: i for i, name in enumerate(handle.columns)}
+    picks = [position[column] for column in columns]
+    width = max(picks, default=-1) + 1
+    with handle.path.open(newline="", encoding="utf-8") as stream:
+        reader = csv.reader(stream)
+        next(reader, None)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            yield reader.line_num, [row[i].strip() for i in picks]
+
+
+def reference_number(handle, line, column, cell, *, non_negative=False):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise SchemaError(
+            f"{handle.path}:{line}: cannot parse {cell!r} in column {column!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{handle.path}:{line}: non-finite value {cell!r} in column {column!r}")
+    if non_negative and value < 0.0:
+        raise SchemaError(f"{handle.path}:{line}: negative value {cell!r} in column {column!r}")
+    return value
+
+
+def reference_blocks(handle, columns, block_rows):
+    blanks = [0] * len(columns)
+    rows = reference_rows(handle, columns)
+    while chunk := list(islice(rows, block_rows)):
+        block = tuple([] for _ in columns)
+        for line, cells in chunk:
+            for i, cell in enumerate(cells):
+                if cell:
+                    block[i].append(reference_number(handle, line, columns[i], cell))
+                else:
+                    blanks[i] += 1
+        yield block
+    for column, count in zip(columns, blanks):
+        if count:
+            logging.getLogger("driftmon.data").warning(
+                "%s: skipped %d blank cell(s) in column %r", handle.path, count, column
+            )
+
+
+def reference_assemble(predictions, sales, forecast_date):
+    window = {(forecast_date + timedelta(days=i)).isoformat(): i for i in range(7)}
+    index = {}
+    predicted = array("d")
+    target = forecast_date.isoformat()
+    for line, (day, unit, cell) in reference_rows(
+        predictions, ("eval_date", "unit_id", "prediction")
+    ):
+        if day != target:
+            continue
+        if not unit:
+            raise SchemaError(f"{predictions.path}:{line}: missing unit_id")
+        value = (
+            reference_number(predictions, line, "prediction", cell, non_negative=True)
+            if cell
+            else math.nan
+        )
+        i = index.setdefault(unit, len(predicted))
+        if i == len(predicted):
+            predicted.append(value)
+        else:
+            predicted[i] = value
+    slots = array("d", [0.0]) * (7 * len(predicted))
+    dates_seen = set()
+    for line, (day, unit, cell) in reference_rows(sales, ("date", "unit_id", "units")):
+        if not day:
+            raise SchemaError(f"{sales.path}:{line}: missing date")
+        dates_seen.add(day)
+        offset = window.get(day)
+        if offset is None:
+            continue
+        units = reference_number(sales, line, "units", cell, non_negative=True)
+        i = index.get(unit)
+        if i is not None:
+            slots[i * 7 + offset] += units
+    missing_days = [d for d in window if d not in dates_seen]
+    if missing_days:
+        raise PreconditionError(
+            f"sales data covers no rows at all for day(s) {missing_days}; "
+            f"the 7-day window from {target} is incomplete"
+        )
+    scored = array("d")
+    actual = array("d")
+    for i, value in enumerate(predicted):
+        if not math.isnan(value):
+            scored.append(value)
+            actual.append(math.fsum(slots[i * 7 : (i + 1) * 7]) / 7)
+    return scored, actual, len(predicted) - len(scored)
+
+
+@contextmanager
+def warnings_of(logger_name: str):
+    """Collect the messages logged to ``logger_name`` inside the block."""
+    messages: list[str] = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def outcome(call):
+    """``("ok", result)``, or the type and message of what ``call`` raised."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # the oracle comparison covers any error
+        return type(exc), str(exc)
+
+
+def bits(result):
+    """``result`` with every float spelled exactly, so -0.0 and 0.0 differ."""
+    if isinstance(result, float):
+        return result.hex()
+    if isinstance(result, array):
+        return result.tobytes()
+    if isinstance(result, (list, tuple)):
+        return type(result)(map(bits, result))
+    return result
+
+
+GOOD_CELLS = ["0", "1.5", "2", " 3.25 ", "1e2", "-0.0", '"4.5"', '"\n6.0"', '" 7\r\n"']
+BLANK_CELLS = ["", " ", '""']
+BAD_CELLS = ["abc", "inf", "-inf", "nan", "-1.0", '"1,5"']
+UNITS = [f"u{i}" for i in range(1, 13)] + ['"u\n7"', " u1 "]
+TARGET = "2022-03-20"
+WINDOW_DAYS = [f"2022-03-{day}" for day in range(20, 27)]
+
+
+@st.composite
+def csv_text(draw, header: str, cells: list[st.SearchStrategy[str]], extra: list[str]) -> str:
+    """A CSV file: ``header``, then drawn rows, some blank or cut short,
+    with the ``extra`` rows mixed in at drawn places."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    size = draw(st.integers(0, 40))
+    rows = []
+    for row, shape, cut in draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*cells),
+                st.sampled_from(["full"] * 6 + ["blank", "short"]),
+                st.integers(1, len(cells) - 1),
+            ),
+            min_size=size,
+            max_size=size,
+        )
+    ):
+        rows.append("" if shape == "blank" else ",".join(row[:cut] if shape == "short" else row))
+    rows = draw(st.permutations(rows + extra))
+    end = newline if draw(st.booleans()) else ""
+    return header + newline + newline.join(rows) + end
+
+
+def numbers(blank: bool, bad: bool) -> st.SearchStrategy[str]:
+    return st.sampled_from(
+        GOOD_CELLS * 10 + (BLANK_CELLS if blank else []) + (BAD_CELLS if bad else [])
+    )
+
+
+class TestColumnarReadsMatchTheRowReader:
+    """The block reader against the reference row reader, on drawn files
+    with blank lines, short rows, quoted cells holding newlines, blank
+    cells, duplicate units, out-of-window junk and bad, negative or
+    non-finite cells.  Small block sizes put every case at a block edge."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block_rows=st.sampled_from([1, 2, 3, 5, _BLOCK_ROWS]),
+        bad=st.booleans(),
+        columns=st.sampled_from([("f1",), ("prediction", "f1"), ("f1", "prediction", "f1")]),
+        drawn=st.data(),
+    )
+    def test_read_columns(self, block_rows, bad, columns, drawn) -> None:
+        text = drawn.draw(
+            csv_text(
+                PREDICTION_HEADER.rstrip("\n"),
+                [st.sampled_from(UNITS), st.just(TARGET), numbers(True, bad), numbers(True, bad)],
+                [],
+            )
+        )
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "t.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            handle = open_dataset(path, "training")
+            with warnings_of("driftmon.data") as expected_log:
+                expected = outcome(lambda: list(reference_blocks(handle, columns, block_rows)))
+            with warnings_of("driftmon.data") as log, mock.patch(
+                "driftmon.data._BLOCK_ROWS", block_rows
+            ):
+                got = outcome(lambda: list(read_columns(handle, columns)))
+        assert bits(got) == bits(expected)
+        assert log == expected_log
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block_rows=st.sampled_from([1, 2, 3, 5, _BLOCK_ROWS]),
+        bad_predictions=st.booleans(),
+        bad_sales=st.booleans(),
+        drawn=st.data(),
+    )
+    def test_assemble_velocity_pairs(
+        self, block_rows, bad_predictions, bad_sales, drawn
+    ) -> None:
+        """Blank predictions in every file; with ``bad_predictions`` also
+        blank units and bad cells.  Sales always carry junk outside the
+        window, which must be ignored; with ``bad_sales`` also blank
+        dates and blank or bad cells inside it."""
+        pred_text = drawn.draw(
+            csv_text(
+                PREDICTION_HEADER.rstrip("\n"),
+                [
+                    st.sampled_from(UNITS * 3 + ([""] if bad_predictions else [])),
+                    st.sampled_from([TARGET] * 6 + ["2022-03-19", "", f" {TARGET} "]),
+                    numbers(True, bad_predictions),
+                    numbers(True, True),
+                ],
+                [],
+            )
+        )
+        sales_text = drawn.draw(
+            csv_text(
+                SALES_HEADER.rstrip("\n"),
+                [
+                    st.sampled_from(UNITS + ["u9"] + ([""] if bad_sales else [])),
+                    st.sampled_from(WINDOW_DAYS * 20 + ([""] if bad_sales else [])),
+                    numbers(bad_sales, bad_sales),
+                ],
+                [f"filler,{day},0" for day in WINDOW_DAYS]
+                + ["u1,2022-03-19,abc", "u2,2022-03-27,-5", "u3,x,inf", "u4,2022-03-27,"],
+            )
+        )
+        with tempfile.TemporaryDirectory() as folder:
+            pred_path, sales_path = Path(folder) / "pred.csv", Path(folder) / "sales.csv"
+            pred_path.write_text(pred_text, encoding="utf-8", newline="")
+            sales_path.write_text(sales_text, encoding="utf-8", newline="")
+            pred = open_dataset(pred_path, "daily_inference")
+            sales = open_dataset(sales_path, "daily_sales")
+            expected = outcome(lambda: reference_assemble(pred, sales, date(2022, 3, 20)))
+            with mock.patch("driftmon.data._BLOCK_ROWS", block_rows):
+                got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
+        assert bits(got) == bits(expected)
 
 
 class TestSynthSpec:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -120,6 +122,27 @@ class TestWmape:
 
     def test_non_negative(self) -> None:
         assert wmape(*split([(0.0, 9.0), (9.0, 0.0)])) >= 0.0
+
+
+@pytest.mark.parametrize("kind", ["list", "array"])
+def test_scores_match_the_per_pair_generator_bit_for_bit(kind: str) -> None:
+    """Each term is the same double as in a per-pair generator, and fsum is
+    exactly rounded, so the C-level passes cannot move a bit."""
+    rng = random.Random(11)
+    for n in (1, 2, 7, 1000, 20_000):
+        predicted = [
+            rng.choice((0.0, rng.random() * 10.0, rng.lognormvariate(0.0, 2.0))) for _ in range(n)
+        ]
+        actual = [rng.choice((0.0, 1 / 7, rng.random() * 10.0)) for _ in range(n)]
+        if kind == "array":
+            predicted, actual = array("d", predicted), array("d", actual)
+        pairs = list(zip(predicted, actual))
+        assert mae(predicted, actual).hex() == (
+            math.fsum(abs(p - a) for p, a in pairs) / n
+        ).hex()
+        assert wmape(predicted, actual).hex() == (
+            math.fsum(abs(p - a) / (a + 1.0) for p, a in pairs) / n * 100.0
+        ).hex()
 
 
 class TestCoefficientOfVariation:

@@ -25,6 +25,25 @@ def sketch_of(values) -> QuantileSketch:
     return sketch
 
 
+def reference_query(sketch: QuantileSketch, p: float) -> float:
+    """The per-point query that ``build_cdf``'s single merged walk must
+    reproduce: each point walks the tuples from the first."""
+    count = sketch.count
+    tuples = sketch.tuples
+    target = math.ceil(p * count)
+    if target <= 0:
+        return tuples[0][0]
+    allowed = sketch.epsilon * count
+    min_rank = 0
+    best = tuples[0][0]
+    for value, g, delta in tuples:
+        min_rank += g
+        if min_rank + delta - target > allowed:
+            return best
+        best = value
+    return best
+
+
 class TestBuildCdf:
     def test_rejects_non_positive_or_non_integer_points(self) -> None:
         sketch = sketch_of([1.0, 2.0])
@@ -62,6 +81,26 @@ class TestBuildCdf:
         assert cdf.sample_count == 500
         assert cdf.breakpoints[-1] == values.max()
         assert list(cdf.breakpoints) == sorted(cdf.breakpoints)
+
+
+    @pytest.mark.parametrize(
+        ("epsilon", "n"), [(0.3, 3_000), (0.01, 30_000), (0.001, 30_000), (0.0003, 100_000)]
+    )
+    def test_breakpoints_match_one_query_per_point(self, epsilon: float, n: int) -> None:
+        """The merged walk returns the breakpoints of one query per grid
+        point, on a skewed stream with ties and on a normal one; at eps
+        0.0003 and n = 1e5, ``epsilon * count`` falls just below an integer."""
+        rng = np.random.default_rng(23)
+        for values in (np.round(rng.lognormal(0.0, 1.0, n), 2), rng.normal(0.0, 1.0, n)):
+            sketch = QuantileSketch(epsilon)
+            sketch.extend(values)
+            for points in (2, 100, 2000):
+                cdf = build_cdf(sketch, points, "x")
+                assert cdf.breakpoints == tuple(
+                    reference_query(sketch, p) for p in cdf.probabilities
+                )
+            for p in (0.0, 1e-9, 0.25, 0.5, 1.0):
+                assert sketch.query(p) == reference_query(sketch, p)
 
 
 class TestApproxCdfEval:
