@@ -22,13 +22,14 @@ import csv
 import logging
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 from itertools import filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .errors import PreconditionError, SchemaError, StorageError, ValidationError
 from .performance import VELOCITY_WINDOW_DAYS
@@ -74,12 +75,24 @@ class DatasetHandle:
     columns: tuple[str, ...]
 
 
+@contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """Open a data file for ``csv``; a byte that is not UTF-8, wherever it
+    is read, is a schema error naming the file."""
+    try:
+        with path.open(newline="", encoding=_ENCODING) as stream:
+            yield stream
+    except UnicodeDecodeError as exc:
+        # The decoder's position counts from its read chunk, not the file.
+        raise SchemaError(f"{path}: not UTF-8 text") from exc
+
+
 def open_dataset(path: Path | str, kind: DatasetKind | str) -> DatasetHandle:
     """Validate the header of ``path`` and return a handle to it."""
     kind = DatasetKind(kind)
     path = Path(path)
     try:
-        with path.open(newline="", encoding=_ENCODING) as handle:
+        with _open_text(path) as handle:
             header = next(csv.reader(handle), None)
     except OSError as exc:
         raise StorageError(f"cannot open dataset {path}: {exc}") from exc
@@ -106,7 +119,7 @@ def _column_blocks(
     picks = [position[column] for column in columns]
     width = max(picks, default=-1) + 1
     first = 0
-    with handle.path.open(newline="", encoding=_ENCODING) as stream:
+    with _open_text(handle.path) as stream:
         reader = csv.reader(stream)
         next(reader, None)
         rows = filter(None, reader)
@@ -123,7 +136,7 @@ def _line(handle: DatasetHandle, row: int) -> int:
     Only error messages need it, so it reads the file again.  ``line_num``
     counts blank lines and the lines of a quoted cell holding newlines.
     """
-    with handle.path.open(newline="", encoding=_ENCODING) as stream:
+    with _open_text(handle.path) as stream:
         reader = csv.reader(stream)
         next(reader, None)
         next(islice(filter(None, reader), row, None))

@@ -36,16 +36,14 @@ def ks_distance(f: ApproxCdf, g: ApproxCdf) -> float:
 
     Both estimates are piecewise linear between their breakpoints and jump
     at ties and at their minimum breakpoint, so it suffices to examine the
-    union of breakpoints, taking both the value and the left limit at each.
+    union of breakpoints, taking both the value and the left limit at each,
+    as one ``ApproxCdf._limits`` call per summary per knot returns them.
     """
-    knots = sorted(set(f.breakpoints) | set(g.breakpoints))
     best = 0.0
-    for x in knots:
-        best = max(
-            best,
-            abs(f(x) - g(x)),
-            abs(f.left_limit(x) - g.left_limit(x)),
-        )
+    for x in sorted(set(f.breakpoints) | set(g.breakpoints)):
+        f_below, f_at = f._limits(x)
+        g_below, g_at = g._limits(x)
+        best = max(best, abs(f_at - g_at), abs(f_below - g_below))
     return best
 
 

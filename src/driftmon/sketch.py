@@ -116,8 +116,8 @@ class QuantileSketch:
         Walks right to left, folding a tuple together with its block of
         newer left neighbours (those with larger delta) into the tuple to
         its right, the head.  A tuple is folded only if its band, its age
-        class, is no greater than the head's: band 0 is the newest
-        (delta == p) and the band grows with the capacity ``p - delta``.
+        class, is no greater than the head's: the band is the bit length of
+        ``p - delta + 1``, smallest for the newest tuples (delta == p).
         Merges thus only fold newer tuples into older ones, which keeps the
         summary size logarithmic in ``n``.  The extreme tuples are never
         removed, so the exact minimum and maximum always survive.
@@ -126,14 +126,14 @@ class QuantileSketch:
         if len(tuples) < 3:
             return
         p = math.floor(2.0 * self._epsilon * self._count)
-        bands = [(p - d + 1 if d < p else 1).bit_length() - 1 for _, _, d in tuples]
+        # Every delta is at most p: inserts take an earlier count's budget, merges keep the head's.
         head_value, head_g, head_delta = tuples[-1]
-        head_band = bands[-1]
+        head_band = (p - head_delta + 1).bit_length()
         out = []
         i = len(tuples) - 2
         while i >= 1:
             value, g, delta = tuples[i]
-            band = bands[i]
+            band = (p - delta + 1).bit_length()
             if band <= head_band:
                 g_block = g
                 j = i - 1

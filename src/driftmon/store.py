@@ -17,7 +17,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .errors import StorageError, ValidationError
 
@@ -128,9 +128,23 @@ def dumps_doc(value: Any) -> str:
     return "".join(out)
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"non-finite number {name} in a document")
+
+
+#: ``json.loads`` accepts ``NaN`` and ``Infinity``, which ``format_real``
+#: never writes.  One decoder is built here: passing ``parse_constant`` to
+#: ``json.loads`` would build one per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def loads_doc(body: str) -> Any:
-    """Parse a stored document back into plain Python values."""
-    return json.loads(body)
+    """Parse a stored document back into plain Python values.
+
+    A non-finite number (``NaN``, ``Infinity``, ``-Infinity``) is a
+    ``ValueError``: the canonical writer never emits one.
+    """
+    return _DECODER.decode(body)
 
 
 class FileStore:

@@ -36,6 +36,8 @@ class ApproxCdf:
             raise ValidationError(f"sample_count must be >= 1, got {self.sample_count}")
         if len(self.breakpoints) != len(self.probabilities) or not self.breakpoints:
             raise ValidationError("breakpoints and probabilities must be equal-length and non-empty")
+        if not all(map(math.isfinite, (*self.breakpoints, *self.probabilities))):
+            raise ValidationError("breakpoints and probabilities must be finite")
         if any(b2 < b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValidationError("breakpoints must be non-decreasing")
         if any(q2 <= q1 for q1, q2 in zip(self.probabilities, self.probabilities[1:])):
@@ -53,36 +55,26 @@ class ApproxCdf:
         x = float(x)
         if not math.isfinite(x):
             raise ValidationError(f"evaluation point must be finite, got {x!r}")
+        return self._limits(x)[1]
+
+    def _limits(self, x: float) -> tuple[float, float]:
+        """``(F(x-), F(x))`` for a finite ``x``: the limit of the CDF from
+        below and its value.  They differ only at jump points: the minimum
+        breakpoint and any run of tied breakpoints."""
         bps = self.breakpoints
-        if x < bps[0]:
-            return 0.0
-        if x >= bps[-1]:
-            return 1.0
-        j = bisect_right(bps, x) - 1
         q = self.probabilities
-        if bps[j] == x:
-            return q[j]
-        frac = (x - bps[j]) / (bps[j + 1] - bps[j])
-        return q[j] + (q[j + 1] - q[j]) * frac
-
-    def left_limit(self, x: float) -> float:
-        """Limit of the CDF as the argument approaches ``x`` from below.
-
-        Differs from ``self(x)`` only at jump points: the minimum
-        breakpoint and any run of tied breakpoints.
-        """
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValidationError(f"evaluation point must be finite, got {x!r}")
-        bps = self.breakpoints
-        if x <= bps[0]:
-            return 0.0
-        if x > bps[-1]:
-            return 1.0
-        i = bisect_left(bps, x)
-        if bps[i] == x:
-            return self.probabilities[i]
-        return self(x)
+        hi = bisect_right(bps, x)
+        lo = bisect_left(bps, x, 0, hi)
+        if lo < hi:
+            return (q[lo] if lo else 0.0), q[hi - 1]
+        if not hi:
+            return 0.0, 0.0
+        if hi == len(bps):
+            return 1.0, 1.0
+        j = hi - 1
+        frac = (x - bps[j]) / (bps[hi] - bps[j])
+        value = q[j] + (q[hi] - q[j]) * frac
+        return value, value
 
 
 def build_cdf(sketch: QuantileSketch, points: int, label: str) -> ApproxCdf:

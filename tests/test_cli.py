@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -148,6 +149,38 @@ class TestExitCodes:
         assert key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_baseline_breakpoint_is_an_io_error(self, workspace, cli, bad) -> None:
+        """``json`` reads ``NaN`` and ``Infinity``; the store does not."""
+        store, data = workspace
+        key = "model/m1/monitor/d1/baseline/f1"
+        path = Path(store, key + ".json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["breakpoints"][-1] = bad
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = cli(
+            "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--date", "2022-03-20", "--data", str(data / "inference.csv"),
+        )
+        assert code == EXIT_IO
+        assert f"corrupt document {key}" in err
+        assert "Traceback" not in err
+
+    def test_nan_metric_value_is_an_io_error(self, workspace, cli) -> None:
+        store, _ = workspace
+        key = "model/m1/monitor/d1/metrics/2022-03-20/f1"
+        path = Path(store, key + ".json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["metrics"]["ks_distance"] = math.nan
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = cli(
+            "get-metrics", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--from", "2022-03-20", "--to", "2022-03-20",
+        )
+        assert code == EXIT_IO
+        assert f"corrupt document {key}" in err
+        assert "Traceback" not in err
+
     def test_invalid_date_is_a_usage_error(self, tmp_path: Path, cli) -> None:
         code, _, err = cli(
             "run-monitor", "--store", str(tmp_path / "s"), "--model", "m1",
@@ -155,6 +188,58 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert "not an ISO date" in err
+
+
+class TestNonUtf8DataFiles:
+    """A latin-1 byte in a data file is a schema error naming the file,
+    whether it sits in the header or past the first 8 KiB read."""
+
+    @pytest.fixture
+    def monitored(self, tmp_path: Path, cli):
+        store = str(tmp_path / "store")
+        data = tmp_path / "data"
+        # 600 units put every file, sales too, well past 8 KiB.
+        assert cli("synth", "--out", str(data), "--units", "600", "--seed", "5")[0] == EXIT_OK
+        steps = [
+            ("register-model", "--store", store, "--id", "m1"),
+            (
+                "set-monitor", "--store", store, "--model", "m1", "--id", "d1",
+                "--kind", "drift", "--quantities", "f1,prediction",
+            ),
+            ("set-monitor", "--store", store, "--model", "m1", "--id", "p1", "--kind", "performance"),
+            (
+                "snapshot-baseline", "--store", store, "--model", "m1",
+                "--monitor", "d1", "--data", str(data / "training.csv"),
+            ),
+        ]
+        for step in steps:
+            code, _, err = cli(*step)
+            assert code == EXIT_OK, err
+        return store, data
+
+    @pytest.mark.parametrize("offset", [0, 9000])
+    @pytest.mark.parametrize("case", ["snapshot", "drift", "predictions", "sales"])
+    def test_exits_one_naming_the_file(self, monitored, cli, case: str, offset: int) -> None:
+        store, data = monitored
+        name = {"snapshot": "training", "drift": "inference", "predictions": "inference"}
+        bad = data / f"{name.get(case, case)}.csv"
+        raw = bytearray(bad.read_bytes())
+        assert len(raw) > 9000
+        # The first byte of the header, or of the first line starting past ``offset``.
+        raw[raw.index(b"\n", offset) + 1 if offset else 0] = 0xE9
+        bad.write_bytes(raw)
+        base = ("--store", store, "--model", "m1")
+        run = ("run-monitor", *base, "--date", "2022-03-20")
+        predictions, sales = str(data / "inference.csv"), str(data / "sales.csv")
+        code, out, err = cli(*{
+            "snapshot": ("snapshot-baseline", *base, "--monitor", "d1", "--data", str(bad)),
+            "drift": (*run, "--monitor", "d1", "--data", str(bad)),
+            "predictions": (*run, "--monitor", "p1", "--data", predictions, "--sales", sales),
+            "sales": (*run, "--monitor", "p1", "--data", predictions, "--sales", sales),
+        }[case])
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert f"{bad}: not UTF-8 text" in err
+        assert "Traceback" not in err
 
 
 class TestEnvironmentDefaults:

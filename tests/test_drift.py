@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import special, stats
 
 from driftmon import (
@@ -23,6 +24,7 @@ from driftmon import (
     ks_distance,
     ks_p_value,
 )
+from test_summary import reference_evaluate, reference_left_limit, tied_cdfs
 
 
 def summarize(values, epsilon: float = 0.01, points: int | None = None, label: str = "x"):
@@ -43,6 +45,24 @@ def brute_force_distance(f, g, grid_size: int = 100_000) -> float:
         ]
     )
     return max(abs(f(float(x)) - g(float(x))) for x in grid)
+
+
+def reference_ks_distance(f, g) -> float:
+    """Supremum of ``|f(x) - g(x)|`` over all reals.
+
+    Both estimates are piecewise linear between their breakpoints and jump
+    at ties and at their minimum breakpoint, so it suffices to examine the
+    union of breakpoints, taking both the value and the left limit at each.
+    """
+    knots = sorted(set(f.breakpoints) | set(g.breakpoints))
+    best = 0.0
+    for x in knots:
+        best = max(
+            best,
+            abs(reference_evaluate(f, x) - reference_evaluate(g, x)),
+            abs(reference_left_limit(f, x) - reference_left_limit(g, x)),
+        )
+    return best
 
 
 class TestKsDistance:
@@ -71,6 +91,14 @@ class TestKsDistance:
             assert ks_distance(f, g) == pytest.approx(
                 brute_force_distance(f, g, grid_size=20_000), abs=1e-9
             )
+
+    @settings(max_examples=300)
+    @given(tied_cdfs(), tied_cdfs())
+    def test_matches_the_four_call_reference_bit_for_bit(self, f, g) -> None:
+        """Ties, single points and shared breakpoints: one ``_limits`` call
+        per summary per knot gives the distance of the separate calls."""
+        assert ks_distance(f, g).hex() == reference_ks_distance(f, g).hex()
+        assert ks_distance(f, f) == 0.0
 
     def test_symmetry(self) -> None:
         rng = np.random.default_rng(2)

@@ -133,6 +133,33 @@ def test_invariants_hold_throughout_a_random_stream() -> None:
         check_invariants(sketch)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.lists(
+        st.integers(0, 5).map(float) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=20,
+    ),
+    n=st.integers(0, 600),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.floats(min_value=0.002, max_value=0.5),
+    order=st.sampled_from(["drawn", "sorted", "reversed"]),
+)
+def test_every_delta_fits_the_budget_at_every_count(pool, n, seed, epsilon, order) -> None:
+    """``delta <= floor(2 * epsilon * count)`` after every value, also at
+    the counts below ``1 / (2 * epsilon)`` that ``check_invariants`` skips.
+    ``_compress`` relies on it: no tuple's band is computed from a negative
+    capacity."""
+    values = random.Random(seed).choices(pool, k=n)
+    if order != "drawn":
+        values.sort(reverse=order == "reversed")
+    sketch = QuantileSketch(epsilon)
+    for v in values:
+        sketch.extend([v])
+        budget = math.floor(2.0 * epsilon * sketch.count)
+        assert all(d <= budget for _, _, d in sketch.tuples)
+
+
 def test_invariants_hold_with_heavy_duplication() -> None:
     rng = np.random.default_rng(3)
     sketch = QuantileSketch(0.02)
@@ -203,9 +230,45 @@ def test_interleaved_streams_merge_correctly() -> None:
         assert rank_error(reference, sketch.query(p), target) <= 0.01 * n
 
 
+def reference_compress(sketch: QuantileSketch) -> None:
+    """``_compress`` as written with a band table built beside the tuples,
+    guarded for a delta above ``p``; the compression must stay tuple for
+    tuple what this builds."""
+    tuples = sketch._tuples
+    if len(tuples) < 3:
+        return
+    p = math.floor(2.0 * sketch._epsilon * sketch._count)
+    bands = [(p - d + 1 if d < p else 1).bit_length() - 1 for _, _, d in tuples]
+    head_value, head_g, head_delta = tuples[-1]
+    head_band = bands[-1]
+    out = []
+    i = len(tuples) - 2
+    while i >= 1:
+        value, g, delta = tuples[i]
+        band = bands[i]
+        if band <= head_band:
+            g_block = g
+            j = i - 1
+            while j >= 1 and tuples[j][2] > delta:
+                g_block += tuples[j][1]
+                j -= 1
+            if g_block + head_g + head_delta <= p:
+                head_g += g_block
+                i = j
+                continue
+        out.append((head_value, head_g, head_delta))
+        head_value, head_g, head_delta, head_band = value, g, delta, band
+        i -= 1
+    out.append((head_value, head_g, head_delta))
+    out.append(tuples[0])
+    out.reverse()
+    sketch._tuples = out
+
+
 def reference_insert(sketch: QuantileSketch, x: float) -> None:
     """The per-value insertion that ``extend`` must reproduce tuple for
-    tuple: bisect the value in, then compress once per period."""
+    tuple: bisect the value in, then compress once per period with
+    ``reference_compress``."""
     x = float(x)
     if not math.isfinite(x):
         raise ValidationError(f"observation must be finite, got {x!r}")
@@ -221,7 +284,7 @@ def reference_insert(sketch: QuantileSketch, x: float) -> None:
         tuples.insert(pos, (x, 1, delta))
     sketch._count = n + 1
     if sketch._count % sketch._compress_period == 0:
-        sketch._compress()
+        reference_compress(sketch)
 
 
 def fed_by_insert(epsilon: float, values) -> QuantileSketch:

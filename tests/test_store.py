@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,10 @@ class TestFileStore:
             store.put(key, "{not json")
         with pytest.raises(ValidationError, match="well-formed"):
             store.put(key, {"v": 1})  # only serialized text is accepted
+        # json accepts these tokens, but no canonical document holds them.
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                store.put(key, f'{{"v": [1.0, {constant}]}}\n')
         assert store.get(key) is None
 
     def test_list_is_sorted_and_recursive(self, store: FileStore) -> None:
@@ -209,3 +214,27 @@ class TestFileStore:
             p for p in (tmp_path / "store").rglob("*") if p.is_file() and p.suffix != ".json"
         ]
         assert leftovers == []
+
+    def test_failed_replace_keeps_the_previous_document(
+        self, store: FileStore, tmp_path: Path, monkeypatch
+    ) -> None:
+        key = StoreKey.of("model", "m1")
+        before = dumps_doc({"v": 1})
+        store.put(key, before)
+
+        def full_disk(src: str, dst: str) -> None:
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(StorageError, match="model/m1"):
+            store.put(key, dumps_doc({"v": 2}))
+        monkeypatch.undo()
+        assert (tmp_path / "store" / "model" / "m1.json").read_text(encoding="utf-8") == before
+        assert list((tmp_path / "store").rglob(".put-*.tmp")) == []
+
+    def test_unreadable_document_is_a_storage_error(
+        self, store: FileStore, tmp_path: Path
+    ) -> None:
+        (tmp_path / "store" / "model" / "m1.json").mkdir(parents=True)
+        with pytest.raises(StorageError, match="model/m1"):
+            store.get(StoreKey.of("model", "m1"))

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from driftmon import (
     ApproxCdf,
@@ -42,6 +42,81 @@ def reference_query(sketch: QuantileSketch, p: float) -> float:
             return best
         best = value
     return best
+
+
+def reference_evaluate(cdf: ApproxCdf, x: float) -> float:
+    """The CDF's evaluation as written before ``ApproxCdf._limits``; its
+    value at ``x`` must stay bit for bit what this returns."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"evaluation point must be finite, got {x!r}")
+    bps = cdf.breakpoints
+    if x < bps[0]:
+        return 0.0
+    if x >= bps[-1]:
+        return 1.0
+    j = bisect_right(bps, x) - 1
+    q = cdf.probabilities
+    if bps[j] == x:
+        return q[j]
+    frac = (x - bps[j]) / (bps[j + 1] - bps[j])
+    return q[j] + (q[j + 1] - q[j]) * frac
+
+
+def reference_left_limit(cdf: ApproxCdf, x: float) -> float:
+    """Limit of the CDF as the argument approaches ``x`` from below.
+
+    Differs from ``self(x)`` only at jump points: the minimum
+    breakpoint and any run of tied breakpoints.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValidationError(f"evaluation point must be finite, got {x!r}")
+    bps = cdf.breakpoints
+    if x <= bps[0]:
+        return 0.0
+    if x > bps[-1]:
+        return 1.0
+    i = bisect_left(bps, x)
+    if bps[i] == x:
+        return cdf.probabilities[i]
+    return reference_evaluate(cdf, x)
+
+
+@st.composite
+def tied_cdfs(draw) -> ApproxCdf:
+    """An ``ApproxCdf`` of 1 to 30 breakpoints drawn from a pool of small
+    integers or any float, so runs of tied breakpoints are common, with a
+    random strictly increasing probability grid ending at 1."""
+    value = st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6, allow_nan=False)
+    breakpoints = tuple(sorted(draw(st.lists(value, min_size=1, max_size=30))))
+    inner = draw(
+        st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            min_size=len(breakpoints) - 1,
+            max_size=len(breakpoints) - 1,
+            unique=True,
+        )
+    )
+    return ApproxCdf(
+        label="x",
+        sample_count=len(breakpoints),
+        breakpoints=breakpoints,
+        probabilities=(*sorted(inner), 1.0),
+    )
+
+
+def probe_points(cdf: ApproxCdf) -> list[float]:
+    """Every breakpoint, one ulp either side of each, the midpoints between
+    neighbours and a point beyond each end."""
+    bps = cdf.breakpoints
+    return sorted(
+        {*bps}
+        | {math.nextafter(b, -math.inf) for b in bps}
+        | {math.nextafter(b, math.inf) for b in bps}
+        | {(a + b) / 2.0 for a, b in zip(bps, bps[1:])}
+        | {bps[0] - 1.0, bps[-1] + 1.0}
+    )
 
 
 class TestBuildCdf:
@@ -122,16 +197,16 @@ class TestApproxCdfEval:
             probabilities=(0.25, 0.5, 0.75, 1.0),
         )
         assert cdf(2.0) == 0.75
-        assert cdf.left_limit(2.0) == 0.5
+        assert cdf._limits(2.0) == (0.5, 0.75)
         assert cdf(1.5) == 0.375
-        assert cdf.left_limit(1.5) == cdf(1.5)
+        assert cdf._limits(1.5) == (cdf(1.5), cdf(1.5))
 
     def test_left_limit_at_minimum_is_zero(self) -> None:
         cdf = build_cdf(sketch_of([1.0, 3.0]), 2, "x")
-        assert cdf.left_limit(1.0) == 0.0
-        assert cdf.left_limit(0.5) == 0.0
-        assert cdf.left_limit(3.0) == 1.0
-        assert cdf.left_limit(4.0) == 1.0
+        assert cdf._limits(1.0)[0] == 0.0
+        assert cdf._limits(0.5)[0] == 0.0
+        assert cdf._limits(3.0)[0] == 1.0
+        assert cdf._limits(4.0)[0] == 1.0
 
     def test_breakpoints_round_trip_to_their_probabilities(self) -> None:
         """With distinct breakpoints, evaluating at breakpoint i returns
@@ -147,8 +222,6 @@ class TestApproxCdfEval:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError, match="finite"):
                 cdf(bad)
-            with pytest.raises(ValidationError, match="finite"):
-                cdf.left_limit(bad)
 
     def test_tracks_empirical_cdf_within_resolution_bound(self) -> None:
         """|approx - empirical| <= 1/points + 2 epsilon + 1/N everywhere."""
@@ -190,7 +263,18 @@ class TestApproxCdfEval:
         answers = [cdf(x) for x in probes]
         assert answers == sorted(answers)
         assert all(0.0 <= y <= 1.0 for y in answers)
-        assert all(cdf.left_limit(x) <= cdf(x) + 1e-15 for x in probes)
+        assert all(cdf._limits(x)[0] <= cdf(x) + 1e-15 for x in probes)
+
+    @settings(max_examples=300)
+    @given(tied_cdfs())
+    def test_limits_match_the_reference_evaluations_bit_for_bit(self, cdf: ApproxCdf) -> None:
+        """With ties, single points and probes one ulp off each breakpoint,
+        the pair from one ``_limits`` call and the public evaluation equal
+        the separate reference evaluations exactly."""
+        for x in probe_points(cdf):
+            below, at = cdf._limits(x)
+            assert below.hex() == reference_left_limit(cdf, x).hex()
+            assert at.hex() == cdf(x).hex() == reference_evaluate(cdf, x).hex()
 
 
 class TestApproxCdfValidation:
@@ -207,6 +291,17 @@ class TestApproxCdfValidation:
     def test_rejects_non_increasing_probabilities(self) -> None:
         with pytest.raises(ValidationError, match="strictly increasing"):
             ApproxCdf("x", 2, (1.0, 2.0), (0.5, 0.5))
+
+    def test_rejects_non_finite_breakpoints_or_probabilities(self) -> None:
+        """A NaN passes every ordering comparison, so finiteness is its own
+        check."""
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                ApproxCdf("x", 2, (1.0, bad), (0.5, 1.0))
+            with pytest.raises(ValidationError, match="finite"):
+                ApproxCdf("x", 2, (bad, 2.0), (0.5, 1.0))
+        with pytest.raises(ValidationError, match="finite"):
+            ApproxCdf("x", 3, (1.0, 2.0, 3.0), (0.25, math.nan, 1.0))
 
     def test_rejects_grid_not_ending_at_one(self) -> None:
         with pytest.raises(ValidationError, match="end at 1.0"):
