@@ -46,9 +46,10 @@ from .store import FileStore, StoreKey, dumps_doc, loads_doc
 
 __version__ = "0.1.0"
 
-#: Names whose modules import numpy, with the module that defines each.
-#: They load on first access (PEP 562), so ``import driftmon`` and the
-#: query commands start without numpy.
+#: Names whose modules load on first access (PEP 562), with the module
+#: that defines each.  The statistics modules take several milliseconds to
+#: import, which ``import driftmon`` and the query commands do not pay;
+#: ``synth`` also imports numpy.
 _LAZY = {
     "QuantileSketch": "sketch",
     "ApproxCdf": "summary",

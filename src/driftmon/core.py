@@ -200,12 +200,17 @@ class MetricRecord:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "MetricRecord":
+        metrics = {k: float(v) for k, v in doc["metrics"].items()}
+        # ``json`` reads an overflowing literal such as 1e400 as infinity.
+        for name, value in metrics.items():
+            if not math.isfinite(value):
+                raise ValueError(f"metric {name!r} is not finite: {value!r}")
         return cls(
             model_id=doc["model_id"],
             monitor_id=doc["monitor_id"],
             eval_date=date.fromisoformat(doc["eval_date"]),
             quantity=doc["quantity"],
-            metrics={k: float(v) for k, v in doc["metrics"].items()},
+            metrics=metrics,
             context=dict(doc["context"]),
         )
 
@@ -430,8 +435,8 @@ class MonitoringService:
     @staticmethod
     def _summarise(data: DatasetHandle, config: MonitorConfig) -> list[ApproxCdf]:
         """One summary per configured quantity, from a single read of ``data``."""
-        # The numpy-backed modules load here, on the drift path only, so
-        # queries and reactions start without numpy.
+        # The statistics modules load here, on the drift path only, so
+        # queries and reactions do not pay their import time.
         from .sketch import QuantileSketch
         from .summary import build_cdf
 

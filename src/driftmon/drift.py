@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ValidationError
-from .summary import ApproxCdf, density_from_cdf
+from .summary import ApproxCdf, _pairwise_sum, density_from_cdf
 
 __all__ = [
     "ks_distance",
@@ -113,10 +111,10 @@ def bhattacharyya(f: ApproxCdf, g: ApproxCdf, bins: int = 100) -> float:
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     else:
-        lo = np.nextafter(lo, -math.inf)
+        lo = math.nextafter(lo, -math.inf)
     df = density_from_cdf(f, lo, hi, bins)
     dg = density_from_cdf(g, lo, hi, bins)
-    coefficient = float(np.sqrt(df * dg).sum())
+    coefficient = _pairwise_sum([math.sqrt(p * q) for p, q in zip(df, dg)])
     return min(max(coefficient, 0.0), 1.0)
 
 

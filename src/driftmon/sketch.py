@@ -17,8 +17,6 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import itemgetter
 
-import numpy as np
-
 from .errors import EmptySummaryError, ValidationError
 
 __all__ = ["QuantileSketch"]
@@ -69,40 +67,59 @@ class QuantileSketch:
         before anything is added: a non-finite value has no rank, and
         dropping it would desynchronise ``count`` from the data.
         """
+        if hasattr(values, "ndim"):  # a numpy array, by duck typing
+            shaped = values.ndim == 1
+        else:
+            shaped = isinstance(values, Sequence) and not isinstance(values, (str, bytes))
+        if not shaped:
+            raise ValidationError(
+                f"observations must form a 1-D sequence of reals, got {type(values).__name__}"
+            )
         try:
-            batch = np.asarray(values, dtype=np.float64)
+            batch = list(map(float, values))
         except (TypeError, ValueError) as exc:
             raise ValidationError(
                 "observations must form a 1-D sequence of reals, "
                 f"got {type(values).__name__}: {exc}"
             ) from exc
-        if batch.ndim != 1:
-            raise ValidationError(f"observations must form a 1-D sequence, got shape {batch.shape}")
-        if not batch.size:
+        if not batch:
             return
+        if not all(map(math.isfinite, batch)):
+            bad = next(i for i, x in enumerate(batch) if not math.isfinite(x))
+            raise ValidationError(f"observation {bad} must be finite, got {batch[bad]!r}")
         tuples = self._tuples
-        # low[i] and high[i] are the minimum and maximum before batch[i]; a
-        # nan or infinity anywhere reaches the last of them.
-        low = np.minimum.accumulate(np.concatenate(([tuples[0][0] if tuples else math.inf], batch)))
-        high = np.maximum.accumulate(np.concatenate(([tuples[-1][0] if tuples else -math.inf], batch)))
-        if not (math.isfinite(low[-1]) and math.isfinite(high[-1])):
-            bad = np.flatnonzero(~np.isfinite(batch))
-            raise ValidationError(
-                f"observation {bad[0]} must be finite, got {float(batch[bad[0]])!r}"
-            )
+        low, high = (tuples[0][0], tuples[-1][0]) if tuples else (math.inf, -math.inf)
         # A value below every earlier value or at least as large as all of
-        # them gets delta 0, and any other the budget at its count.
-        counts = np.arange(self._count, self._count + batch.size, dtype=np.float64)
-        deltas = np.maximum(np.floor((2.0 * self._epsilon) * counts) - 1.0, 0.0).astype(np.int64)
-        deltas[(batch < low[:-1]) | (batch >= high[:-1])] = 0
+        # them gets delta 0, and any other the budget at its count.  Most
+        # calls hold no new extreme, which one min/max test shows.
+        extreme = None
+        if min(batch) < low or max(batch) >= high:
+            extreme = []
+            for x in batch:
+                extreme.append(x < low or x >= high)
+                low = min(low, x)
+                high = max(high, x)
+        two_eps = 2.0 * self._epsilon
         period = self._compress_period
         start = 0
-        while start < batch.size:
+        while start < len(batch):
             # Merge the values up to the next compression in one sort.  The
             # sort is stable and the older tuples come first, so equal values
             # keep arrival order.
-            stop = min(start + period - self._count % period, batch.size)
-            new = zip(batch[start:stop].tolist(), repeat(1), deltas[start:stop].tolist())
+            stop = min(start + period - self._count % period, len(batch))
+            # The budget floor(2 * epsilon * count) never falls as the count
+            # rises, so equal ends mean one budget for the whole chunk.
+            count = self._count
+            budget = math.floor(two_eps * count)
+            if budget == math.floor(two_eps * (count + stop - start - 1)):
+                deltas = repeat(max(budget - 1, 0))
+            else:
+                deltas = [
+                    max(math.floor(two_eps * c) - 1, 0) for c in range(count, count + stop - start)
+                ]
+            if extreme is not None:
+                deltas = [0 if e else d for e, d in zip(extreme[start:stop], deltas)]
+            new = zip(batch[start:stop], repeat(1), deltas)
             self._tuples = sorted(self._tuples + list(new), key=itemgetter(0))
             self._count += stop - start
             if self._count % period == 0:

@@ -201,6 +201,8 @@ class FileStore:
             return None
         except OSError as exc:
             raise StorageError(f"cannot read {key}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise StorageError(f"cannot read {key}: not UTF-8 text ({exc.reason})") from exc
 
     def children(self, prefix: StoreKey) -> list[str]:
         """Sorted names of the directories directly under ``prefix``.

@@ -10,10 +10,12 @@ masses over a uniform grid, which is what the distance metrics consume.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from .errors import EmptySummaryError, ValidationError
 from .sketch import QuantileSketch
@@ -95,7 +97,7 @@ def build_cdf(sketch: QuantileSketch, points: int, label: str) -> ApproxCdf:
         # Any requested grid collapses: there is exactly one quantile.
         grid = [1.0]
     else:
-        grid = [float(p) for p in np.linspace(1.0 / n, 1.0, points)]
+        grid = _linspace(1.0 / n, 1.0, points)
     breakpoints = tuple(sketch._ascending_quantiles(grid))
     return ApproxCdf(
         label=label,
@@ -105,27 +107,59 @@ def build_cdf(sketch: QuantileSketch, points: int, label: str) -> ApproxCdf:
     )
 
 
-def density_from_cdf(cdf: ApproxCdf, lo: float, hi: float, bins: int) -> np.ndarray:
+def density_from_cdf(cdf: ApproxCdf, lo: float, hi: float, bins: int) -> array:
     """Bin a CDF into ``bins`` uniform probability masses over ``[lo, hi]``.
 
     Mass the CDF places outside the range (including an atom exactly at
     ``lo``) is redistributed uniformly across all bins, so the result is
     always a proper distribution.  Tiny negative masses from rounding are
     clamped to zero and the vector renormalised.  Returns the masses, which
-    are non-negative and sum to 1.
+    are non-negative and sum to 1, as an ``array('d')``.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
     if not isinstance(bins, int) or bins < 1:
         raise ValidationError(f"bins must be a positive integer, got {bins!r}")
-    edges = np.linspace(lo, hi, bins + 1)
-    values = np.array([cdf(e) for e in edges])
-    raw = np.diff(values)
+    values = [cdf(e) for e in _linspace(lo, hi, bins + 1)]
     # The raw masses telescope to F(hi) - F(lo); computing the leftover that
     # way keeps the correction exactly zero when the range covers the whole
     # distribution, so empty bins stay exactly empty.
     correction = (1.0 - (values[-1] - values[0])) / bins
-    masses = raw + correction
-    np.clip(masses, 0.0, None, out=masses)
-    masses /= masses.sum()
-    return masses
+    masses = [b - a + correction for a, b in zip(values, values[1:])]
+    # Not ``max(m, 0.0)``, which keeps a -0.0 that numpy's clip turned into 0.0.
+    masses = [m if m > 0.0 else 0.0 for m in masses]
+    total = _pairwise_sum(masses)
+    return array("d", [m / total for m in masses])
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.linspace(start, stop, num)`` for ``num >= 2``, point for
+    point: ``i * step + start``, the last point set to ``stop``, and
+    numpy's branch for a step that underflows to zero."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """``numpy.ndarray.sum`` of float64 ``values``, bit for bit: numpy's
+    pairwise order, eight interleaved accumulators over blocks of up to
+    128 values.  It exists so that stored coefficients keep their bits;
+    ``math.fsum`` is the better sum once they may change."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, values[j:end:8]) for j in range(8)]
+        # numpy adds the whole to a 0.0 start, which turns -0.0 into 0.0.
+        blocks = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+        return reduce(add, values[end:], blocks)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])

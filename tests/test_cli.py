@@ -181,6 +181,39 @@ class TestExitCodes:
         assert f"corrupt document {key}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "doc"])
+    def test_overflowing_metric_value_is_an_io_error(self, workspace, cli, fmt) -> None:
+        """``json`` reads ``1e400`` as infinity, which no metric can be."""
+        store, _ = workspace
+        key = "model/m1/monitor/d1/metrics/2022-03-20/f1"
+        path = Path(store, key + ".json")
+        body = path.read_text(encoding="utf-8")
+        doc = json.loads(body)
+        old = f'"ks_distance": {doc["metrics"]["ks_distance"]!r}'
+        assert old in body
+        path.write_text(body.replace(old, '"ks_distance": 1e400'), encoding="utf-8")
+        code, out, err = cli(
+            "get-metrics", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--from", "2022-03-20", "--to", "2022-03-20", "--format", fmt,
+        )
+        assert code == EXIT_IO
+        assert f"corrupt document {key}" in err
+        assert "ks_distance" in err
+        assert "Traceback" not in err
+
+    def test_stored_document_that_is_not_utf8_is_an_io_error(self, workspace, cli) -> None:
+        store, _ = workspace
+        with open(Path(store, "model", "m1.json"), "ab") as handle:
+            handle.write(b"\xe9")
+        code, _, err = cli(
+            "set-monitor", "--store", store, "--model", "m1", "--id", "d2",
+            "--kind", "drift", "--quantities", "f1",
+        )
+        assert code == EXIT_IO
+        assert "model/m1" in err
+        assert "not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_invalid_date_is_a_usage_error(self, tmp_path: Path, cli) -> None:
         code, _, err = cli(
             "run-monitor", "--store", str(tmp_path / "s"), "--model", "m1",

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from driftmon import (
@@ -24,7 +24,13 @@ from driftmon import (
     ks_distance,
     ks_p_value,
 )
-from test_summary import reference_evaluate, reference_left_limit, tied_cdfs
+from test_summary import (
+    hexes,
+    reference_density_from_cdf,
+    reference_evaluate,
+    reference_left_limit,
+    tied_cdfs,
+)
 
 
 def summarize(values, epsilon: float = 0.01, points: int | None = None, label: str = "x"):
@@ -63,6 +69,21 @@ def reference_ks_distance(f, g) -> float:
             abs(reference_left_limit(f, x) - reference_left_limit(g, x)),
         )
     return best
+
+
+def reference_bhattacharyya(f, g, bins: int = 100) -> float:
+    """``bhattacharyya`` as written with numpy; the stored coefficient
+    must stay bit for bit what this returns."""
+    lo = min(f.breakpoints[0], g.breakpoints[0])
+    hi = max(f.breakpoints[-1], g.breakpoints[-1])
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    else:
+        lo = np.nextafter(lo, -math.inf)
+    df = reference_density_from_cdf(f, lo, hi, bins)
+    dg = reference_density_from_cdf(g, lo, hi, bins)
+    coefficient = float(np.sqrt(df * dg).sum())
+    return min(max(coefficient, 0.0), 1.0)
 
 
 class TestKsDistance:
@@ -201,6 +222,11 @@ class TestBhattacharyya:
         f = summarize(rng.normal(0, 1, 20_000), epsilon=0.001, points=100)
         g = summarize(rng.normal(1, 1, 20_000), epsilon=0.001, points=100)
         assert bhattacharyya(f, g) == pytest.approx(math.exp(-0.125), abs=0.03)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_cdfs(), tied_cdfs(), st.sampled_from([1, 7, 8, 100, 129]))
+    def test_matches_the_numpy_reference_bit_for_bit(self, f, g, bins: int) -> None:
+        assert hexes([bhattacharyya(f, g, bins)]) == hexes([reference_bhattacharyya(f, g, bins)])
 
     def test_rejects_bad_bin_count(self) -> None:
         f = summarize([1.0, 2.0])

@@ -3,7 +3,8 @@
 ``get_metrics`` parses only the day directories in its range, and a
 threshold reaction walks the days down from ``as_of`` until one holds its
 metric.  The reference for both is the full scan they replace: parse every
-stored document, then filter.  A query command also starts without numpy.
+stored document, then filter.  A query command also starts without numpy,
+and so does every drift command; only ``synth`` loads it.
 """
 
 from __future__ import annotations
@@ -258,6 +259,15 @@ def test_query_and_reaction_commands_leave_numpy_unloaded(tmp_path: Path) -> Non
         ["run-reaction", *common, "--reaction", "alert", "--as-of", "2022-03-31"],
         ["get-logs", *common, "--reaction", "alert", "--format", "csv"],
     ]
+    assert run_in_fresh_interpreter(commands) == {
+        "codes": [EXIT_OK] * len(commands),
+        "numpy": False,
+    }
+
+
+def run_in_fresh_interpreter(commands: list[list[str]]) -> dict:
+    """Run each command through ``cli.main`` in one new interpreter and
+    return its exit codes and whether numpy was loaded at the end."""
     script = (
         "import json, sys\n"
         "from driftmon.cli import main\n"
@@ -273,5 +283,24 @@ def test_query_and_reaction_commands_leave_numpy_unloaded(tmp_path: Path) -> Non
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [EXIT_OK] * len(commands), "numpy": False}, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_drift_commands_leave_numpy_unloaded_and_synth_loads_it(tmp_path: Path) -> None:
+    data = str(tmp_path / "data")
+    synth = [["synth", "--out", data, "--units", "300", "--seed", "5", "--shift", "0.2"]]
+    assert run_in_fresh_interpreter(synth) == {"codes": [EXIT_OK], "numpy": True}
+    common = ["--store", str(tmp_path / "store"), "--model", "m1"]
+    commands = [
+        ["register-model", "--store", str(tmp_path / "store"), "--id", "m1"],
+        ["set-monitor", *common, "--id", "d1", "--kind", "drift"]
+        + ["--quantities", "f1,f2,f3,prediction"],
+        ["snapshot-baseline", *common, "--monitor", "d1", "--data", f"{data}/training.csv"],
+        ["run-monitor", *common, "--monitor", "d1", "--date", "2022-03-20"]
+        + ["--data", f"{data}/inference.csv"],
+    ]
+    assert run_in_fresh_interpreter(commands) == {
+        "codes": [EXIT_OK] * len(commands),
+        "numpy": False,
+    }
+    assert len(list((tmp_path / "store").rglob("2022-03-20/*.json"))) == 4

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -351,7 +352,106 @@ def test_extend_rejects_a_non_finite_chunk_whole(bad: float, position: int) -> N
 
 def test_extend_rejects_nested_sequences() -> None:
     sketch = QuantileSketch(0.1)
-    for bad in ([[1.0, 2.0]], 3.0, ["a"], (float(i) for i in range(3))):
+    bad_inputs = (
+        [[1.0, 2.0]],
+        3.0,
+        ["a"],
+        (float(i) for i in range(3)),
+        "123",
+        b"123",
+        {1.0: 2.0},
+        {1.0, 2.0},
+        np.zeros((2, 2)),
+    )
+    for bad in bad_inputs:
         with pytest.raises(ValidationError, match="1-D"):
             sketch.extend(bad)
         assert sketch.count == 0
+
+
+def reference_extend(sketch: QuantileSketch, values) -> None:
+    """``extend`` as written with numpy: the whole call is checked and its
+    deltas are set by array passes.  The pure-Python ``extend`` must build
+    the tuples this builds, bit for bit."""
+    try:
+        batch = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            "observations must form a 1-D sequence of reals, "
+            f"got {type(values).__name__}: {exc}"
+        ) from exc
+    if batch.ndim != 1:
+        raise ValidationError(f"observations must form a 1-D sequence, got shape {batch.shape}")
+    if not batch.size:
+        return
+    tuples = sketch._tuples
+    low = np.minimum.accumulate(np.concatenate(([tuples[0][0] if tuples else math.inf], batch)))
+    high = np.maximum.accumulate(np.concatenate(([tuples[-1][0] if tuples else -math.inf], batch)))
+    if not (math.isfinite(low[-1]) and math.isfinite(high[-1])):
+        bad = np.flatnonzero(~np.isfinite(batch))
+        raise ValidationError(
+            f"observation {bad[0]} must be finite, got {float(batch[bad[0]])!r}"
+        )
+    counts = np.arange(sketch._count, sketch._count + batch.size, dtype=np.float64)
+    deltas = np.maximum(np.floor((2.0 * sketch._epsilon) * counts) - 1.0, 0.0).astype(np.int64)
+    deltas[(batch < low[:-1]) | (batch >= high[:-1])] = 0
+    period = sketch._compress_period
+    start = 0
+    while start < batch.size:
+        stop = min(start + period - sketch._count % period, batch.size)
+        new = zip(batch[start:stop].tolist(), repeat(1), deltas[start:stop].tolist())
+        sketch._tuples = sorted(sketch._tuples + list(new), key=itemgetter(0))
+        sketch._count += stop - start
+        if sketch._count % period == 0:
+            sketch._compress()
+        start = stop
+
+
+def exact(sketch: QuantileSketch) -> list[tuple[str, int, int]]:
+    """The tuples with each value as ``float.hex``, which tells -0.0 from
+    0.0, and the types of ``g`` and ``delta`` checked."""
+    assert all(type(g) is int and type(d) is int for _, g, d in sketch.tuples)
+    return [(v.hex(), g, d) for v, g, d in sketch.tuples]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=40,
+    ),
+    n=st.integers(0, 1500),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.floats(min_value=0.001, max_value=0.5),
+    order=st.sampled_from(["drawn", "sorted", "reversed"]),
+    cuts=st.lists(st.integers(0, 1500), max_size=12),
+)
+def test_extend_matches_the_numpy_reference_bit_for_bit(
+    pool, n, seed, epsilon, order, cuts
+) -> None:
+    """Any epsilon, so chunks whose budget steps up part way through are
+    common, and any chunking, so calls that hold a new extreme and calls
+    that do not both occur."""
+    values = random.Random(seed).choices(pool, k=n)
+    if order != "drawn":
+        values.sort(reverse=order == "reversed")
+    expected = QuantileSketch(epsilon)
+    sketch = QuantileSketch(epsilon)
+    bounds = [0, *sorted(min(cut, n) for cut in cuts), n]
+    for start, stop in zip(bounds, bounds[1:]):
+        reference_extend(expected, values[start:stop])
+        sketch.extend(values[start:stop])
+        assert sketch.count == expected.count
+        assert exact(sketch) == exact(expected)
+
+
+def test_a_numpy_array_extends_as_its_list() -> None:
+    rng = np.random.default_rng(23)
+    for batch in (rng.normal(0.0, 1.0, 3000), rng.integers(-5, 5, 3000), np.float32([0.1, 2.5])):
+        from_array = QuantileSketch(0.01)
+        from_list = QuantileSketch(0.01)
+        for start in range(0, batch.size, 256):
+            from_array.extend(batch[start:start + 256])
+            from_list.extend(batch[start:start + 256].tolist())
+        assert exact(from_array) == exact(from_list)

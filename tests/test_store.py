@@ -238,3 +238,11 @@ class TestFileStore:
         (tmp_path / "store" / "model" / "m1.json").mkdir(parents=True)
         with pytest.raises(StorageError, match="model/m1"):
             store.get(StoreKey.of("model", "m1"))
+
+    def test_document_that_is_not_utf8_is_a_storage_error(self, store: FileStore) -> None:
+        key = StoreKey.of("model", "m1")
+        store.put(key, dumps_doc({"model_id": "m1"}))
+        with open(store.root / "model" / "m1.json", "ab") as handle:
+            handle.write(b"\xe9")
+        with pytest.raises(StorageError, match="model/m1: not UTF-8"):
+            store.get(key)

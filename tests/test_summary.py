@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -17,6 +18,7 @@ from driftmon import (
     build_cdf,
     density_from_cdf,
 )
+from driftmon.summary import _linspace, _pairwise_sum
 
 
 def sketch_of(values) -> QuantileSketch:
@@ -106,6 +108,29 @@ def tied_cdfs(draw) -> ApproxCdf:
     )
 
 
+def reference_grid(n: int, points: int) -> list[float]:
+    """``build_cdf``'s probability grid as written with numpy."""
+    return [float(p) for p in np.linspace(1.0 / n, 1.0, points)]
+
+
+def reference_density_from_cdf(cdf: ApproxCdf, lo: float, hi: float, bins: int) -> np.ndarray:
+    """``density_from_cdf`` as written with numpy, validation aside; the
+    masses must stay bit for bit what this returns."""
+    edges = np.linspace(lo, hi, bins + 1)
+    values = np.array([cdf(e) for e in edges])
+    raw = np.diff(values)
+    correction = (1.0 - (values[-1] - values[0])) / bins
+    masses = raw + correction
+    np.clip(masses, 0.0, None, out=masses)
+    masses /= masses.sum()
+    return masses
+
+
+def hexes(values) -> list[str]:
+    """``float.hex`` of each value, which tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
 def probe_points(cdf: ApproxCdf) -> list[float]:
     """Every breakpoint, one ulp either side of each, the midpoints between
     neighbours and a point beyond each end."""
@@ -157,6 +182,10 @@ class TestBuildCdf:
         assert cdf.breakpoints[-1] == values.max()
         assert list(cdf.breakpoints) == sorted(cdf.breakpoints)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 10**7), points=st.integers(2, 2000))
+    def test_grid_matches_numpy_bit_for_bit(self, n: int, points: int) -> None:
+        assert hexes(_linspace(1.0 / n, 1.0, points)) == hexes(reference_grid(n, points))
 
     @pytest.mark.parametrize(
         ("epsilon", "n"), [(0.3, 3_000), (0.01, 30_000), (0.001, 30_000), (0.0003, 100_000)]
@@ -353,6 +382,28 @@ class TestDensityFromCdf:
         for m0, m1 in zip(d0, d1):
             assert m0 == pytest.approx(m1, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cdf=tied_cdfs(),
+        bins=st.sampled_from([1, 7, 8, 100, 129]),
+        ends=st.lists(st.floats(-2e6, 2e6) | st.integers(-3, 3).map(float), min_size=2, max_size=2),
+        use_support=st.booleans(),
+    )
+    def test_masses_match_the_numpy_reference_bit_for_bit(
+        self, cdf: ApproxCdf, bins: int, ends: list[float], use_support: bool
+    ) -> None:
+        """Over a drawn range or over the CDF's support, as
+        ``bhattacharyya`` bins it."""
+        if use_support:
+            lo, hi = math.nextafter(cdf.breakpoints[0], -math.inf), cdf.breakpoints[-1]
+        else:
+            lo, hi = sorted(ends)
+        if not lo < hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        masses = density_from_cdf(cdf, lo, hi, bins)
+        assert masses.typecode == "d"
+        assert hexes(masses) == hexes(reference_density_from_cdf(cdf, lo, hi, bins))
+
     def test_rejects_bad_range_or_bins(self) -> None:
         cdf = ApproxCdf("x", 2, (0.0, 1.0), (0.5, 1.0))
         with pytest.raises(ValidationError, match="lo"):
@@ -365,3 +416,65 @@ class TestDensityFromCdf:
             density_from_cdf(cdf, 0.0, 1.0, 0)
         with pytest.raises(ValidationError, match="bins"):
             density_from_cdf(cdf, 0.0, 1.0, 2.5)
+
+
+class TestNumpyArithmetic:
+    """The private ``_linspace`` and ``_pairwise_sum`` reproduce numpy's
+    results bit for bit, so stored bytes do not depend on which computes
+    them."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        start=st.floats(allow_nan=False, allow_infinity=False),
+        stop=st.floats(allow_nan=False, allow_infinity=False),
+        num=st.integers(2, 300),
+    )
+    def test_linspace_matches_numpy(self, start: float, stop: float, num: int) -> None:
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, num)
+        assert hexes(_linspace(start, stop, num)) == hexes(expected)
+
+    @pytest.mark.parametrize(
+        "start, stop, num",
+        [
+            (0.0, 5e-324, 101),  # the step underflows to zero
+            (5e-324, 1e-323, 3),
+            (-5e-324, 5e-324, 7),
+            (0.0, 1e-320, 129),
+            (1.0, 1.0, 5),  # no width: every point is the start
+            (-0.0, 0.0, 4),
+            (-1e308, 1e308, 101),  # the width overflows to infinity
+            (0.0, 1.7976931348623157e308, 9),
+            (1e300, 1.0000000000000002e300, 100),
+            (1.0 / 3, 1.0, 100),
+        ],
+    )
+    def test_linspace_matches_numpy_at_extreme_ranges(
+        self, start: float, stop: float, num: int
+    ) -> None:
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, num)
+        assert hexes(_linspace(start, stop, num)) == hexes(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.sampled_from([*range(1, 9), 100, 127, 128, 129, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+        signed=st.booleans(),
+    )
+    def test_pairwise_sum_matches_ndarray_sum(self, n: int, seed: int, signed: bool) -> None:
+        """Magnitudes over 40 decades, so the order of the additions shows
+        in the last bits, and exact zeros of both signs."""
+        rng = random.Random(seed)
+        pool = [0.0, -0.0] if signed else [0.0]
+        values = [
+            rng.choice(pool)
+            if rng.random() < 0.1
+            else rng.uniform(-1.0 if signed else 0.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+            for _ in range(n)
+        ]
+        assert _pairwise_sum(values).hex() == float(np.array(values).sum()).hex()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 129, 1000])
+    def test_pairwise_sum_of_negative_zeros_is_zero(self, n: int) -> None:
+        assert _pairwise_sum([-0.0] * n).hex() == float(np.full(n, -0.0).sum()).hex()
