@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from dataclasses import dataclass, replace
+from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
@@ -442,8 +442,11 @@ class MonitoringService:
 
         sketches = [QuantileSketch(config.epsilon) for _ in config.quantities]
         for block in read_columns(data, config.quantities):
-            for sketch, values in zip(sketches, block):
-                sketch.extend(values)
+            for quantity, sketch, values in zip(config.quantities, sketches, block):
+                try:
+                    sketch.extend(values)
+                except ValidationError as exc:  # a column longer than a sketch takes
+                    raise ValidationError(f"column {quantity!r} of {data.path}: {exc}") from exc
         for quantity, sketch in zip(config.quantities, sketches):
             if sketch.count == 0:
                 raise PreconditionError(
@@ -611,10 +614,14 @@ class MonitoringService:
             record = self._threshold_log(config, as_of)
         else:
             record = self._report_log(config)
-        key = self._log_prefix(model_id, reaction_id).child(
-            record.created_at.strftime("%Y%m%dT%H%M%S.%fZ")
-        )
-        self.store.put(key, dumps_doc(record.to_doc()))
+        # A log is never overwritten: a key taken in the same microsecond,
+        # by this process or another, moves the record to the next one.
+        prefix = self._log_prefix(model_id, reaction_id)
+        while not self.store.create(
+            prefix.child(record.created_at.strftime("%Y%m%dT%H%M%S.%fZ")),
+            dumps_doc(record.to_doc()),
+        ):
+            record = replace(record, created_at=record.created_at + timedelta(microseconds=1))
         return [record]
 
     def _threshold_log(self, config: ReactionConfig, as_of: date) -> LogRecord:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import ValidationError
-from .summary import ApproxCdf, _pairwise_sum, density_from_cdf
+from .summary import ApproxCdf, density_from_cdf
 
 __all__ = [
     "ks_distance",
@@ -114,7 +114,7 @@ def bhattacharyya(f: ApproxCdf, g: ApproxCdf, bins: int = 100) -> float:
         lo = math.nextafter(lo, -math.inf)
     df = density_from_cdf(f, lo, hi, bins)
     dg = density_from_cdf(g, lo, hi, bins)
-    coefficient = _pairwise_sum([math.sqrt(p * q) for p, q in zip(df, dg)])
+    coefficient = math.fsum(math.sqrt(p * q) for p, q in zip(df, dg))
     return min(max(coefficient, 0.0), 1.0)
 
 

@@ -2,19 +2,21 @@
 
 Keys are short slash-rendered segment paths; each key maps to one JSON
 document on disk (segments become directories, the last segment a file).
-Writes replace atomically via a temp file and ``os.replace``, and the
-serialization is canonical (sorted keys, 17-significant-digit reals), so
-re-serialising an unchanged record is byte-identical.
+Writes go to a temp file first: ``put`` replaces atomically with
+``os.replace``, and ``create`` links the temp file in with ``os.link``,
+which fails rather than overwrite.  The serialization is canonical (sorted
+keys, 17-significant-digit reals), so re-serialising an unchanged record is
+byte-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import re
 import shutil
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NoReturn
@@ -173,6 +175,36 @@ class FileStore:
 
     def put(self, key: StoreKey, body: str) -> None:
         """Atomically create or replace the document at ``key``."""
+        tmp, path = self._write_temp(key, body)
+        try:
+            try:
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise StorageError(f"cannot write {key}: {exc}") from exc
+
+    def create(self, key: StoreKey, body: str) -> bool:
+        """Atomically create the document at ``key`` unless one is there.
+
+        Returns False, and writes nothing, when ``key`` already holds a
+        document, even one a concurrent writer put there.
+        """
+        tmp, path = self._write_temp(key, body)
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return False
+        except OSError as exc:
+            raise StorageError(f"cannot write {key}: {exc}") from exc
+        finally:
+            os.unlink(tmp)
+        return True
+
+    def _write_temp(self, key: StoreKey, body: str) -> tuple[str, str]:
+        """Check ``body`` and write it to a new temp file beside ``key``'s
+        file; returns the temp file's path and the document's."""
         try:
             loads_doc(body)
         except (TypeError, ValueError) as exc:
@@ -181,16 +213,21 @@ class FileStore:
         parent = os.path.dirname(path)
         try:
             os.makedirs(parent, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=parent, prefix=".put-", suffix=".tmp")
+            fd = None
+            while fd is None:
+                # O_EXCL: two writers never share a temp file.
+                tmp = os.path.join(parent, f".put-{os.urandom(6).hex()}.tmp")
+                with contextlib.suppress(FileExistsError):
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
                     handle.write(body)
-                os.replace(tmp_name, path)
             except BaseException:
-                os.unlink(tmp_name)
+                os.unlink(tmp)
                 raise
         except OSError as exc:
             raise StorageError(f"cannot write {key}: {exc}") from exc
+        return tmp, path
 
     def get(self, key: StoreKey) -> str | None:
         """Body at ``key``, or None when absent (absence is not an error)."""

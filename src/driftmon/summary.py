@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .errors import EmptySummaryError, ValidationError
 from .sketch import QuantileSketch
@@ -98,7 +95,7 @@ def build_cdf(sketch: QuantileSketch, points: int, label: str) -> ApproxCdf:
         grid = [1.0]
     else:
         grid = _linspace(1.0 / n, 1.0, points)
-    breakpoints = tuple(sketch._ascending_quantiles(grid))
+    breakpoints = tuple(sketch._quantiles(grid))
     return ApproxCdf(
         label=label,
         sample_count=n,
@@ -126,9 +123,9 @@ def density_from_cdf(cdf: ApproxCdf, lo: float, hi: float, bins: int) -> array:
     # distribution, so empty bins stay exactly empty.
     correction = (1.0 - (values[-1] - values[0])) / bins
     masses = [b - a + correction for a, b in zip(values, values[1:])]
-    # Not ``max(m, 0.0)``, which keeps a -0.0 that numpy's clip turned into 0.0.
+    # Not ``max(m, 0.0)``, which keeps a -0.0.
     masses = [m if m > 0.0 else 0.0 for m in masses]
-    total = _pairwise_sum(masses)
+    total = math.fsum(masses)
     return array("d", [m / total for m in masses])
 
 
@@ -145,21 +142,3 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
         points = [i * step + start for i in range(num)]
     points[-1] = stop
     return points
-
-
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """``numpy.ndarray.sum`` of float64 ``values``, bit for bit: numpy's
-    pairwise order, eight interleaved accumulators over blocks of up to
-    128 values.  It exists so that stored coefficients keep their bits;
-    ``math.fsum`` is the better sum once they may change."""
-    n = len(values)
-    if n < 8:
-        return reduce(add, values, 0.0)
-    if n <= 128:
-        end = n - n % 8
-        r = [reduce(add, values[j:end:8]) for j in range(8)]
-        # numpy adds the whole to a 0.0 start, which turns -0.0 into 0.0.
-        blocks = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-        return reduce(add, values[end:], blocks)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])

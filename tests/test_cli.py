@@ -214,6 +214,24 @@ class TestExitCodes:
         assert "not UTF-8" in err
         assert "Traceback" not in err
 
+    def test_column_past_the_sketch_cap_is_a_usage_error(
+        self, workspace, cli, monkeypatch
+    ) -> None:
+        """A day with more values than a sketch takes, shown here with the
+        cap lowered, fails naming the file and column, and stores nothing."""
+        store, data = workspace
+        monkeypatch.setattr("driftmon.sketch._MAX_COUNT", 50)
+        code, out, err = cli(
+            "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--date", "2022-03-21", "--data", str(data / "inference.csv"),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "Traceback" not in err
+        assert "inference.csv" in err and "at most 50 observations" in err
+        metrics = Path(store) / "model" / "m1" / "monitor" / "d1" / "metrics"
+        assert not (metrics / "2022-03-21").exists()
+
     def test_invalid_date_is_a_usage_error(self, tmp_path: Path, cli) -> None:
         code, _, err = cli(
             "run-monitor", "--store", str(tmp_path / "s"), "--model", "m1",

@@ -722,6 +722,23 @@ class TestGetLogs:
     def test_unknown_reaction_yields_empty(self, service: MonitoringService) -> None:
         assert service.get_logs("mx", "rx") == []
 
+    def test_runs_in_one_microsecond_keep_every_log(
+        self, logged, service: MonitoringService, monkeypatch
+    ) -> None:
+        """A run whose log key is taken moves to the next free microsecond,
+        and its record says so: nothing is overwritten."""
+        instant = datetime(2022, 3, 21, 12, 0, 0, 999_999, tzinfo=timezone.utc)
+        monkeypatch.setattr("driftmon.core._now", lambda: instant)
+        first = service.run_reaction("m1", "r1", FORECAST)[0]
+        second = service.run_reaction("m1", "r1", FORECAST)[0]
+        assert first.created_at == instant
+        assert second.created_at == instant + timedelta(microseconds=1)
+        window = service.get_logs(
+            "m1", "r1", from_ts=instant, to_ts=instant + timedelta(seconds=1)
+        )
+        assert window == [first, second]
+        assert len(service.get_logs("m1", "r1")) == 5
+
 
 class TestDelete:
     @pytest.fixture

@@ -32,22 +32,22 @@ UNITS = 300
 
 GOLDEN = {
     "model/m1/monitor/d1/baseline/f1": (
-        "bdd17ddfb5e984cadcfdf36e2b045212a28a2660aa2637d549a19e65bdbeb706"
+        "802401e9910b69d862d3fe5f440aab49703e072bcfcac8067d5ac254d1d6d452"
     ),
     "model/m1/monitor/d1/baseline/f2": (
-        "542254809eadc0d2aa59de8cb371fe3b8de306252ec7d711e3e3d6094cb1a0dc"
+        "248b86ae9efc1eabdf2b9a273558e7041221ace87592cbbfbee4f6fbf0cd37d3"
     ),
     "model/m1/monitor/d1/baseline/prediction": (
-        "0198f85bb1ec1a1029fdad4fd752849ba503779e620b7783d1c8fc523d80bc35"
+        "168ed0b362826c2c81e09e1c906b8496bdbb324197e00fd3e0dd811ce76bbe10"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/f1": (
-        "dbf77e7f12298861ff41d8c7b4f73e27d7b40d36bbaa13d79979028f68bd99c4"
+        "fba2935145d636f25222b50ef0643de961ceed762095c27ad3c9da561b5c010e"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/f2": (
-        "656a49a43e7e98b47f5e784daab6037ae84a4ebb454380e1cec7d0228cb978bf"
+        "0cde7923f26a85ea5d81816944fb9931d1380a76dd08964fdf45ac818e2f53e0"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/prediction": (
-        "05dbcfcbb6235c192d45210a134e196d9dbc00432378847558ad6da81cdf8870"
+        "0ccf9dd1873ed2b054b341995fea7d25e14d4d593c4a6dc4dac045f976770c86"
     ),
     "model/m1/monitor/p1/metrics/2022-03-20/velocity": (
         "2126185cb641be8bede0f113a7e9fcf25b387e9469451985ca80ebf7b14ef698"

@@ -232,6 +232,29 @@ class TestFileStore:
         assert (tmp_path / "store" / "model" / "m1.json").read_text(encoding="utf-8") == before
         assert list((tmp_path / "store").rglob(".put-*.tmp")) == []
 
+    def test_create_never_overwrites(self, store: FileStore, tmp_path: Path) -> None:
+        key = StoreKey.of("model", "m1", "log", "x")
+        first = dumps_doc({"v": 1})
+        assert store.create(key, first) is True
+        assert store.create(key, dumps_doc({"v": 2})) is False
+        assert store.get(key) == first
+        assert list((tmp_path / "store").rglob(".put-*.tmp")) == []
+        with pytest.raises(ValidationError, match="well-formed"):
+            store.create(StoreKey.of("model", "m2"), "{")
+        assert store.get(StoreKey.of("model", "m2")) is None
+
+    def test_failed_link_is_a_storage_error_and_leaves_no_temp_file(
+        self, store: FileStore, tmp_path: Path, monkeypatch
+    ) -> None:
+        def unsupported(src: str, dst: str) -> None:
+            raise OSError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "link", unsupported)
+        with pytest.raises(StorageError, match="model/m1"):
+            store.create(StoreKey.of("model", "m1"), dumps_doc({}))
+        monkeypatch.undo()
+        assert list((tmp_path / "store").rglob("*.*")) == []
+
     def test_unreadable_document_is_a_storage_error(
         self, store: FileStore, tmp_path: Path
     ) -> None:
