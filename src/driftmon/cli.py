@@ -81,17 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, dest="monitor_id")
     p.add_argument("--kind", required=True, choices=[k.value for k in MonitorKind])
     p.add_argument("--quantities", help="comma-separated column names (drift monitors)")
+    # The resolution flags default to None, so that a performance monitor
+    # given one is rejected rather than stored without it.
     p.add_argument(
-        "--epsilon", type=float, default=core.DEFAULT_EPSILON,
-        help="sketch rank-error budget (default: %(default)s)",
+        "--epsilon", type=float,
+        help=f"sketch rank-error budget (default: {core.DEFAULT_EPSILON})",
     )
     p.add_argument(
-        "--cdf-points", type=int, default=core.DEFAULT_CDF_POINTS,
-        help="quantile grid size (default: %(default)s)",
+        "--cdf-points", type=int,
+        help=f"quantile grid size (default: {core.DEFAULT_CDF_POINTS})",
     )
     p.add_argument(
-        "--density-bins", type=int, default=core.DEFAULT_DENSITY_BINS,
-        help="histogram bins for overlap (default: %(default)s)",
+        "--density-bins", type=int,
+        help=f"histogram bins for overlap (default: {core.DEFAULT_DENSITY_BINS})",
     )
 
     p = sub.add_parser("snapshot-baseline", parents=[common], help="summarise training data")
@@ -254,14 +256,17 @@ def _cmd_register_model(service: MonitoringService, args) -> None:
 
 
 def _cmd_set_monitor(service: MonitoringService, args) -> None:
+    resolution = {
+        name: getattr(args, name)
+        for name in core._RESOLUTION_DEFAULTS
+        if getattr(args, name) is not None
+    }
     config = MonitorConfig(
         monitor_id=args.monitor_id,
         model_id=args.model,
         kind=MonitorKind(args.kind),
         quantities=tuple(q for q in (args.quantities or "").split(",") if q),
-        epsilon=args.epsilon,
-        cdf_points=args.cdf_points,
-        density_bins=args.density_bins,
+        **resolution,
     )
     service.set_monitor(config)
     sys.stdout.write(dumps_doc(config.to_doc()))

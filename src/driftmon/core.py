@@ -46,6 +46,14 @@ DEFAULT_EPSILON = 0.001
 DEFAULT_CDF_POINTS = 100
 DEFAULT_DENSITY_BINS = 100
 
+#: Summary resolution fields of a drift monitor; a performance monitor
+#: keeps them at these values.
+_RESOLUTION_DEFAULTS = {
+    "epsilon": DEFAULT_EPSILON,
+    "cdf_points": DEFAULT_CDF_POINTS,
+    "density_bins": DEFAULT_DENSITY_BINS,
+}
+
 #: Quantity label under which performance records are stored.
 VELOCITY_QUANTITY = "velocity"
 
@@ -136,8 +144,10 @@ class MonitorConfig:
         if self.kind is MonitorKind.DRIFT:
             if not self.quantities:
                 raise ValidationError("a drift monitor needs at least one quantity")
-            for q in self.quantities:
+            for i, q in enumerate(self.quantities):
                 _check_identifier("quantity", q)
+                if q in self.quantities[:i]:
+                    raise ValidationError(f"quantity {q!r} is listed more than once")
             if not 0.0 < self.epsilon <= 0.5:
                 raise ValidationError(f"epsilon must be in (0, 0.5], got {self.epsilon!r}")
             if self.cdf_points < 2:
@@ -146,6 +156,10 @@ class MonitorConfig:
                 raise ValidationError(f"density_bins must be >= 1, got {self.density_bins!r}")
         elif self.quantities:
             raise ValidationError("a performance monitor takes no quantities")
+        else:
+            for name, default in _RESOLUTION_DEFAULTS.items():
+                if getattr(self, name) != default:
+                    raise ValidationError(f"a performance monitor takes no {name}")
 
     def to_doc(self) -> dict[str, Any]:
         parameters: dict[str, Any] = {}
@@ -234,6 +248,14 @@ class ReactionConfig:
         _check_identifier("reaction_id", self.reaction_id)
         _check_identifier("model_id", self.model_id)
         _check_identifier("monitor_id", self.monitor_id)
+        foreign = (
+            ("date_from", "date_to", "sample_size")
+            if self.kind is ReactionKind.THRESHOLD
+            else ("metric_name", "comparator", "threshold")
+        )
+        for name in foreign:
+            if getattr(self, name) is not None:
+                raise ValidationError(f"a {self.kind.value} reaction takes no {name}")
         if self.kind is ReactionKind.THRESHOLD:
             if not self.metric_name:
                 raise ValidationError("a threshold reaction needs a metric_name")

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
-from itertools import filterfalse, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
@@ -245,14 +245,13 @@ def assemble_velocity_pairs(
     window = {
         (forecast_date + timedelta(days=i)).isoformat(): i for i in range(VELOCITY_WINDOW_DAYS)
     }
-    days = VELOCITY_WINDOW_DAYS
 
-    # Per-unit state lives in flat buffers addressed through one index, so
-    # a run holds a few bytes per unit rather than Python objects.  NaN
-    # marks a unit whose (last) prediction cell was blank; ``_number``
-    # rejects every non-finite cell, so no real prediction reads NaN.
-    index: dict[str, int] = {}
-    predicted = array("d")
+    # During the predictions pass ``index`` maps each unit to its last
+    # prediction, None when that cell was blank; after it, each scored unit
+    # to its position in ``predicted``.  A dict keeps the order units first
+    # appear in, and ``update`` lets the last row win, so one call places a
+    # block.
+    index: dict[str, float | None] = {}
     target = forecast_date.isoformat()
     for first, (dates, units, cells) in _column_blocks(
         predictions, ("eval_date", "unit_id", "prediction")
@@ -267,8 +266,7 @@ def assemble_velocity_pairs(
             cells = [cells[k] for k in keep]
         values = _floats(cells, non_negative=True) if all(units) else None
         if values is None:
-            # Row by row, so the first bad row in file order is the one
-            # reported; a blank prediction marks its unit excluded.
+            # Row by row, so the first bad row in file order is the one reported.
             values = []
             for row, unit, cell in zip(rows, units, cells):
                 if not unit:
@@ -276,26 +274,22 @@ def assemble_velocity_pairs(
                 values.append(
                     _number(predictions, row, "prediction", cell, non_negative=True)
                     if cell
-                    else math.nan
+                    else None
                 )
-        # Units unique in the block and new to the index append in one step;
-        # otherwise a repeated unit's later row overwrites its value.
-        n = len(predicted)
-        if len(set(units)) == len(units) and index.keys().isdisjoint(units):
-            index.update(zip(units, range(n, n + len(units))))
-            predicted.extend(values)
-            continue
-        for unit, value in zip(units, values):
-            i = index.setdefault(unit, len(predicted))
-            if i == len(predicted):
-                predicted.append(value)
-            else:
-                predicted[i] = value
+        index.update(zip(units, values))
+    blank = [unit for unit, value in index.items() if value is None]
+    for unit in blank:
+        del index[unit]
+    predicted = array("d", index.values())
+    # Replacing values while the keys are iterated is allowed: no key comes
+    # or goes.
+    index.update(zip(index, range(len(predicted))))
 
-    # Seven day slots per indexed unit.  Sales of units with no prediction
-    # are still checked, so a bad cell in the window fails wherever it
-    # sits, but not kept; a cell outside the window is never read.
-    slots = array("d", [0.0]) * (days * len(predicted))
+    # One buffer of sales sums per window day, one slot per scored unit.
+    # Sales of other units are still checked, so a bad cell in the window
+    # fails wherever it sits, but not kept; a cell outside the window is
+    # never read.
+    sold = [array("d", [0.0]) * len(predicted) for _ in window]
     dates_seen: set[str] = set()
     position = index.get
     for first, (dates, units, cells) in _column_blocks(sales, ("date", "unit_id", "units")):
@@ -315,7 +309,7 @@ def assemble_velocity_pairs(
             if offset is not None:
                 i = position(unit)
                 if i is not None:
-                    slots[i * days + offset] += value
+                    sold[offset][i] += value
     # The index is the largest buffer; drop it, and the bound method that
     # keeps it alive, before the velocities grow.
     del index, position
@@ -327,14 +321,5 @@ def assemble_velocity_pairs(
             f"the {VELOCITY_WINDOW_DAYS}-day window from {target} is incomplete"
         )
 
-    actual = array(
-        "d",
-        [
-            math.fsum(slots[j : j + days]) / days
-            for j, value in zip(range(0, len(slots), days), predicted)
-            if not math.isnan(value)
-        ],
-    )
-    if len(actual) == len(predicted):
-        return predicted, actual, 0
-    return array("d", filterfalse(math.isnan, predicted)), actual, len(predicted) - len(actual)
+    actual = array("d", [math.fsum(week) / VELOCITY_WINDOW_DAYS for week in zip(*sold)])
+    return predicted, actual, len(blank)

@@ -101,6 +101,73 @@ class TestExitCodes:
             "model", "model/m1.json",
         ]
 
+    def test_repeated_quantity_is_a_usage_error_that_stores_nothing(
+        self, tmp_path: Path, cli
+    ) -> None:
+        store = tmp_path / "s"
+        cli("register-model", "--store", str(store), "--id", "m1")
+        code, _, err = cli(
+            "set-monitor", "--store", str(store), "--model", "m1", "--id", "d1",
+            "--kind", "drift", "--quantities", "f1,f2,f1",
+        )
+        assert code == EXIT_USAGE
+        assert "quantity 'f1'" in err
+        assert not (store / "model" / "m1").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--epsilon", "0.05", "epsilon"), ("--cdf-points", "7", "cdf_points"),
+         ("--density-bins", "9", "density_bins")],
+    )
+    def test_resolution_of_a_performance_monitor_is_a_usage_error(
+        self, tmp_path: Path, cli, flag: str, value: str, field: str
+    ) -> None:
+        store = tmp_path / "s"
+        cli("register-model", "--store", str(store), "--id", "m1")
+        code, _, err = cli(
+            "set-monitor", "--store", str(store), "--model", "m1", "--id", "p1",
+            "--kind", "performance", flag, value,
+        )
+        assert code == EXIT_USAGE
+        assert f"takes no {field}" in err
+        assert not (store / "model" / "m1").exists()
+
+    def test_set_monitor_help_shows_the_resolution_defaults(self, cli) -> None:
+        code, out, _ = cli("set-monitor", "--help")
+        assert code == EXIT_OK
+        text = " ".join(out.split())
+        assert "sketch rank-error budget (default: 0.001)" in text
+        assert "quantile grid size (default: 100)" in text
+        assert "histogram bins for overlap (default: 100)" in text
+
+    @pytest.mark.parametrize(
+        "kind,flags,field",
+        [
+            ("threshold", ("--from", "2022-03-20"), "date_from"),
+            ("threshold", ("--sample-size", "5"), "sample_size"),
+            ("report", ("--threshold", "0.5"), "threshold"),
+            ("report", ("--metric", "mae"), "metric_name"),
+        ],
+    )
+    def test_the_other_kinds_reaction_flag_is_a_usage_error(
+        self, tmp_path: Path, cli, kind: str, flags: tuple[str, ...], field: str
+    ) -> None:
+        store = tmp_path / "s"
+        cli("register-model", "--store", str(store), "--id", "m1")
+        cli("set-monitor", "--store", str(store), "--model", "m1", "--id", "p1",
+            "--kind", "performance")
+        own = {
+            "threshold": ("--metric", "mae", "--comparator", ">", "--threshold", "1.0"),
+            "report": ("--from", "2022-03-20", "--to", "2022-03-27", "--sample-size", "5"),
+        }[kind]
+        code, _, err = cli(
+            "set-reaction", "--store", str(store), "--model", "m1", "--id", "r1",
+            "--kind", kind, "--monitor", "p1", *own, *flags,
+        )
+        assert code == EXIT_USAGE
+        assert f"{kind} reaction takes no {field}" in err
+        assert not (store / "model" / "m1" / "reaction").exists()
+
     def test_missing_store_root_is_a_usage_error(self, cli, monkeypatch) -> None:
         monkeypatch.delenv("MON_STORE_ROOT", raising=False)
         code, _, err = cli("register-model", "--id", "m1")

@@ -122,6 +122,15 @@ class TestMonitorConfig:
         with pytest.raises(ValidationError, match="performance monitor takes no quantities"):
             MonitorConfig("p1", "m1", MonitorKind.PERFORMANCE, ("f1",))
 
+    def test_drift_quantities_are_listed_once(self) -> None:
+        with pytest.raises(ValidationError, match="quantity 'f1' is listed more than once"):
+            MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1", "f2", "f1"))
+
+    @pytest.mark.parametrize("field,value", [("epsilon", 0.05), ("cdf_points", 7), ("density_bins", 9)])
+    def test_performance_monitor_takes_no_resolution(self, field: str, value) -> None:
+        with pytest.raises(ValidationError, match=f"performance monitor takes no {field}"):
+            MonitorConfig("p1", "m1", MonitorKind.PERFORMANCE, **{field: value})
+
     def test_identifier_charset(self) -> None:
         with pytest.raises(ValidationError, match="monitor_id"):
             MonitorConfig("bad id", "m1", MonitorKind.DRIFT, ("f1",))
@@ -526,6 +535,35 @@ class TestReactions:
                 ReactionKind.REPORT,
                 {"date_from": date(2022, 3, 20), "date_to": date(2022, 3, 27), "sample_size": 1},
                 "sample_size >= 2",
+            ),
+            (
+                ReactionKind.THRESHOLD,
+                {"metric_name": "mae", "comparator": ">", "threshold": 0.1, "sample_size": 5},
+                "threshold reaction takes no sample_size",
+            ),
+            (
+                ReactionKind.THRESHOLD,
+                {
+                    "metric_name": "mae", "comparator": ">", "threshold": 0.1,
+                    "date_from": date(2022, 3, 20),
+                },
+                "threshold reaction takes no date_from",
+            ),
+            (
+                ReactionKind.REPORT,
+                {
+                    "date_from": date(2022, 3, 20), "date_to": date(2022, 3, 27),
+                    "sample_size": 5, "threshold": 0.5,
+                },
+                "report reaction takes no threshold",
+            ),
+            (
+                ReactionKind.REPORT,
+                {
+                    "date_from": date(2022, 3, 20), "date_to": date(2022, 3, 27),
+                    "sample_size": 5, "metric_name": "mae",
+                },
+                "report reaction takes no metric_name",
             ),
         ],
     )

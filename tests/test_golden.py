@@ -1,7 +1,9 @@
 """Stored documents stay byte-identical: one golden digest per document.
 
-Small seeded inputs go through ``snapshot_baseline`` and a drift and a
-performance ``run_monitor``.  Every baseline and metric document, with its
+Small seeded inputs go through ``snapshot_baseline`` and the
+``run_monitor`` of two drift monitors, one of them fine enough that no
+sketch compacts and one coarse enough that every sketch does, and of a
+performance monitor.  Every baseline and metric document, with its
 ``computed_at`` timestamp masked, must hash to the digest recorded below.
 Input values come from ``random.Random``, whose stream is fixed across
 Python versions, and are written with a fixed number of decimals, so the
@@ -48,6 +50,24 @@ GOLDEN = {
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/prediction": (
         "0ccf9dd1873ed2b054b341995fea7d25e14d4d593c4a6dc4dac045f976770c86"
+    ),
+    "model/m1/monitor/d2/baseline/f1": (
+        "e228d4e3283f3ebc340a609d387948121937938d46aa2877f9366f3ab573692f"
+    ),
+    "model/m1/monitor/d2/baseline/f2": (
+        "1403df1661352228885643d7fbe75b52991978f4db6aa94b4e08029c41dc0cb6"
+    ),
+    "model/m1/monitor/d2/baseline/prediction": (
+        "395c70d14351cbc969b6e64669e5a9850a92881d3b8b319178d104f5a64b5702"
+    ),
+    "model/m1/monitor/d2/metrics/2022-03-20/f1": (
+        "1432bb634a159bb1b7f717a68e09cf0a401952179d47670a7e34460842303203"
+    ),
+    "model/m1/monitor/d2/metrics/2022-03-20/f2": (
+        "5a6335fa2ca49e2912600a50ad4fe129c768505684191fe17b5971e40f94b944"
+    ),
+    "model/m1/monitor/d2/metrics/2022-03-20/prediction": (
+        "3c331ae6ec4da014637f8c5b2b9ac695c7f123afb7cee2be8866330f4dbcbe47"
     ),
     "model/m1/monitor/p1/metrics/2022-03-20/velocity": (
         "2126185cb641be8bede0f113a7e9fcf25b387e9469451985ca80ebf7b14ef698"
@@ -96,9 +116,15 @@ def _stored_digests(tmp_path: Path) -> dict[str, str]:
     service.set_monitor(
         MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1", "f2", "prediction"), epsilon=0.005)
     )
+    # At epsilon 0.05 a sketch level holds 258 values, so both files go
+    # through compactions; at 0.005 (2200 values) neither does.
+    service.set_monitor(
+        MonitorConfig("d2", "m1", MonitorKind.DRIFT, ("f1", "f2", "prediction"), epsilon=0.05)
+    )
     service.set_monitor(MonitorConfig("p1", "m1", MonitorKind.PERFORMANCE))
-    service.snapshot_baseline("m1", "d1", open_dataset(train, "training"))
-    service.run_monitor("m1", "d1", FORECAST, open_dataset(today, "daily_inference"))
+    for monitor in ("d1", "d2"):
+        service.snapshot_baseline("m1", monitor, open_dataset(train, "training"))
+        service.run_monitor("m1", monitor, FORECAST, open_dataset(today, "daily_inference"))
     service.run_monitor(
         "m1",
         "p1",

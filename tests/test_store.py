@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,78 @@ class TestFileStore:
         monkeypatch.undo()
         assert (tmp_path / "store" / "model" / "m1.json").read_text(encoding="utf-8") == before
         assert list((tmp_path / "store").rglob(".put-*.tmp")) == []
+
+    def test_write_failing_mid_body_keeps_the_previous_document(
+        self, store: FileStore, tmp_path: Path, monkeypatch
+    ) -> None:
+        key = StoreKey.of("model", "m1")
+        before = dumps_doc({"v": 1})
+        store.put(key, before)
+        written: list[int] = []
+        fdopen = os.fdopen
+
+        class HalfThenFull:
+            """A temp file that takes half the body, then reports a full disk."""
+
+            def __init__(self, fd: int, *args, **kwargs) -> None:
+                self.handle = fdopen(fd, *args, **kwargs)
+
+            def __enter__(self) -> "HalfThenFull":
+                return self
+
+            def __exit__(self, *exc) -> None:
+                self.handle.close()
+
+            def write(self, text: str) -> int:
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                written.append(os.fstat(self.handle.fileno()).st_size)
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", HalfThenFull)
+        with pytest.raises(StorageError, match="model/m1"):
+            store.put(key, dumps_doc({"v": 2, "pad": "x" * 100}))
+        monkeypatch.undo()
+        assert written and written[0] > 0  # a truncated document was on disk
+        assert (tmp_path / "store" / "model" / "m1.json").read_text(encoding="utf-8") == before
+        assert list((tmp_path / "store").rglob(".put-*.tmp")) == []
+
+    def test_unlistable_directory_is_a_storage_error(self, store: FileStore, monkeypatch) -> None:
+        metrics = StoreKey.of("model", "m1", "metrics")
+        store.put(metrics.child("2022-03-20", "f1"), dumps_doc({}))
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(os, "scandir", denied)
+        with pytest.raises(StorageError, match="model/m1/metrics"):
+            store.children(metrics)
+
+    def test_failed_subtree_removal_is_a_storage_error(
+        self, store: FileStore, monkeypatch
+    ) -> None:
+        prefix = StoreKey.of("model", "m1")
+        store.put(prefix.child("a"), dumps_doc({}))
+
+        def busy(path, *args, **kwargs) -> None:
+            raise OSError(16, "Device or resource busy", path)
+
+        monkeypatch.setattr(shutil, "rmtree", busy)
+        with pytest.raises(StorageError, match="model/m1"):
+            store.delete(prefix)
+
+    def test_failed_unlink_is_a_storage_error(self, store: FileStore, monkeypatch) -> None:
+        key = StoreKey.of("model", "m1")
+        store.put(key, dumps_doc({}))
+
+        def denied(path, *args, **kwargs) -> None:
+            raise PermissionError(1, "Operation not permitted", path)
+
+        monkeypatch.setattr(os, "unlink", denied)
+        with pytest.raises(StorageError, match="model/m1"):
+            store.remove(key)
+        monkeypatch.undo()
+        assert store.get(key) is not None
 
     def test_create_never_overwrites(self, store: FileStore, tmp_path: Path) -> None:
         key = StoreKey.of("model", "m1", "log", "x")
