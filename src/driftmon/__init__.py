@@ -21,13 +21,6 @@ from .core import (
     ReactionKind,
     Severity,
 )
-from .data import (
-    DatasetHandle,
-    DatasetKind,
-    assemble_velocity_pairs,
-    open_dataset,
-    read_columns,
-)
 from .errors import (
     EmptySummaryError,
     MonitoringError,
@@ -37,20 +30,23 @@ from .errors import (
     StorageError,
     ValidationError,
 )
-from .performance import (
-    coefficient_of_variation,
-    mae,
-    wmape,
-)
 from .store import FileStore, StoreKey, dumps_doc, loads_doc
 
 __version__ = "0.1.0"
 
 #: Names whose modules load on first access (PEP 562), with the module
-#: that defines each.  The statistics modules take several milliseconds to
-#: import, which ``import driftmon`` and the query commands do not pay;
-#: ``synth`` also imports numpy.
+#: that defines each.  The data and statistics modules take several
+#: milliseconds to import, which ``import driftmon`` and the query and
+#: reaction commands do not pay; ``synth`` also imports numpy.
 _LAZY = {
+    "DatasetHandle": "data",
+    "DatasetKind": "data",
+    "assemble_velocity_pairs": "data",
+    "open_dataset": "data",
+    "read_columns": "data",
+    "coefficient_of_variation": "performance",
+    "mae": "performance",
+    "wmape": "performance",
     "QuantileSketch": "sketch",
     "ApproxCdf": "summary",
     "build_cdf": "summary",
@@ -74,11 +70,6 @@ __all__ = [
     "ReactionConfig",
     "ReactionKind",
     "Severity",
-    "DatasetHandle",
-    "DatasetKind",
-    "assemble_velocity_pairs",
-    "open_dataset",
-    "read_columns",
     "EmptySummaryError",
     "MonitoringError",
     "NotFoundError",
@@ -86,9 +77,6 @@ __all__ = [
     "SchemaError",
     "StorageError",
     "ValidationError",
-    "coefficient_of_variation",
-    "mae",
-    "wmape",
     "FileStore",
     "StoreKey",
     "dumps_doc",

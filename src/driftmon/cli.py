@@ -11,7 +11,6 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -29,7 +28,6 @@ from .core import (
     ReactionConfig,
     ReactionKind,
 )
-from .data import DatasetKind, open_dataset
 from .errors import MonitoringError, StorageError, ValidationError
 from .store import FileStore, dumps_doc, format_real
 
@@ -222,6 +220,8 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
 
 
 def _print_csv(header: list[str], rows: list[list[str]]) -> None:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
@@ -273,6 +273,9 @@ def _cmd_set_monitor(service: MonitoringService, args) -> None:
 
 
 def _cmd_snapshot_baseline(service: MonitoringService, args) -> None:
+    # The data module loads only for the commands that read data files.
+    from .data import DatasetKind, open_dataset
+
     handle = open_dataset(_data_path(args, args.data), DatasetKind.TRAINING)
     summaries = service.snapshot_baseline(args.model, args.monitor, handle)
     for cdf in summaries:
@@ -280,6 +283,8 @@ def _cmd_snapshot_baseline(service: MonitoringService, args) -> None:
 
 
 def _cmd_run_monitor(service: MonitoringService, args) -> None:
+    from .data import DatasetKind, open_dataset
+
     data = open_dataset(_data_path(args, args.data), DatasetKind.DAILY_INFERENCE)
     sales = None
     if args.sales:

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
-from .data import DatasetHandle, assemble_velocity_pairs, read_columns
+from ._record import Record, replace
 from .errors import NotFoundError, PreconditionError, StorageError, ValidationError
-from .performance import mae, wmape
 from .store import _SEGMENT_RE, FileStore, StoreKey, dumps_doc, loads_doc
 
 if TYPE_CHECKING:
+    from .data import DatasetHandle
     from .summary import ApproxCdf
 
 __all__ = [
@@ -110,8 +109,7 @@ def _parse_ts(text: str) -> datetime:
     return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
 
-@dataclass(frozen=True)
-class ModelRegistration:
+class ModelRegistration(Record):
     """A deployed model known to the monitoring service."""
 
     model_id: str
@@ -126,8 +124,7 @@ class ModelRegistration:
         }
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(Record):
     """What to watch for one model and with what resolution."""
 
     monitor_id: str
@@ -191,8 +188,7 @@ class MonitorConfig:
         )
 
 
-@dataclass(frozen=True)
-class MetricRecord:
+class MetricRecord(Record):
     """One monitor evaluation for one quantity on one date."""
 
     model_id: str
@@ -229,8 +225,7 @@ class MetricRecord:
         )
 
 
-@dataclass(frozen=True)
-class ReactionConfig:
+class ReactionConfig(Record):
     """A rule that turns stored metrics into log entries."""
 
     reaction_id: str
@@ -314,8 +309,7 @@ class ReactionConfig:
         )
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(Record):
     """The outcome of one reaction run."""
 
     model_id: str
@@ -457,8 +451,9 @@ class MonitoringService:
     @staticmethod
     def _summarise(data: DatasetHandle, config: MonitorConfig) -> list[ApproxCdf]:
         """One summary per configured quantity, from a single read of ``data``."""
-        # The statistics modules load here, on the drift path only, so
-        # queries and reactions do not pay their import time.
+        # The data and statistics modules load here, on the drift path only,
+        # so queries and reactions do not pay their import time.
+        from .data import read_columns
         from .sketch import QuantileSketch
         from .summary import build_cdf
 
@@ -552,6 +547,9 @@ class MonitoringService:
     ) -> list[MetricRecord]:
         if sales is None:
             raise ValidationError("a performance monitor run needs daily sales data (--sales)")
+        from .data import assemble_velocity_pairs
+        from .performance import _scores
+
         predicted, actual, excluded = assemble_velocity_pairs(data, sales, eval_date)
         if not predicted:
             raise PreconditionError(
@@ -563,7 +561,7 @@ class MonitoringService:
                 monitor_id=config.monitor_id,
                 eval_date=eval_date,
                 quantity=VELOCITY_QUANTITY,
-                metrics={"mae": mae(predicted, actual), "wmape": wmape(predicted, actual)},
+                metrics=_scores(predicted, actual),
                 context={
                     "computed_at": _iso_seconds(_now()),
                     "n": len(predicted),

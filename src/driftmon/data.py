@@ -23,7 +23,6 @@ import logging
 import math
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
 from itertools import islice
@@ -31,6 +30,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
+from ._record import Record
 from .errors import PreconditionError, SchemaError, StorageError, ValidationError
 from .performance import VELOCITY_WINDOW_DAYS
 
@@ -66,8 +66,7 @@ class DatasetKind(str, Enum):
     DAILY_SALES = "daily_sales"
 
 
-@dataclass(frozen=True)
-class DatasetHandle:
+class DatasetHandle(Record):
     """A validated reference to one CSV file of a known kind."""
 
     path: Path

@@ -9,6 +9,7 @@ defined instead of blowing up the percentage.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import repeat
 from operator import add, sub, truediv
 from typing import Sequence
@@ -42,12 +43,17 @@ def _check_velocities(metric: str, predicted: Sequence[float], actual: Sequence[
     if not predicted:
         raise ValidationError(f"{metric} requires at least one velocity pair")
     for name, values in (("predicted", predicted), ("actual", actual)):
-        # Whole-list passes in C: min and max miss a NaN, the sum does not.
+        # Whole-list passes in C.  An ``array('d')`` holds only floats, so it
+        # skips the type pass.  ``min`` can miss a NaN, and a negative value
+        # behind it, but any NaN or infinity makes the sum non-finite; a sum
+        # that overflows only sends a good list through the loop below.
         if (
-            all(issubclass(t, (int, float)) for t in set(map(type, values)))
+            (
+                isinstance(values, array) and values.typecode == "d"
+                or all(issubclass(t, (int, float)) for t in set(map(type, values)))
+            )
             and min(values) >= 0.0
-            and max(values) < math.inf
-            and not math.isnan(sum(values))
+            and math.isfinite(sum(values))
         ):
             continue
         for v in values:
@@ -60,12 +66,26 @@ def _check_velocities(metric: str, predicted: Sequence[float], actual: Sequence[
 def mae(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Mean absolute error of predicted vs actual velocity, unit by unit."""
     _check_velocities("mae", predicted, actual)
-    return math.fsum(map(abs, map(sub, predicted, actual))) / len(predicted)
+    return _mae(predicted, actual)
 
 
 def wmape(predicted: Sequence[float], actual: Sequence[float]) -> float:
     """Mean percentage error weighted against ``actual + 1`` per unit."""
     _check_velocities("wmape", predicted, actual)
+    return _wmape(predicted, actual)
+
+
+def _scores(predicted: Sequence[float], actual: Sequence[float]) -> dict[str, float]:
+    """``mae`` and ``wmape`` of one run, its velocities checked once."""
+    _check_velocities("scoring", predicted, actual)
+    return {"mae": _mae(predicted, actual), "wmape": _wmape(predicted, actual)}
+
+
+def _mae(predicted: Sequence[float], actual: Sequence[float]) -> float:
+    return math.fsum(map(abs, map(sub, predicted, actual))) / len(predicted)
+
+
+def _wmape(predicted: Sequence[float], actual: Sequence[float]) -> float:
     total = math.fsum(
         map(truediv, map(abs, map(sub, predicted, actual)), map(add, actual, repeat(WMAPE_OFFSET)))
     )

@@ -17,10 +17,10 @@ import math
 import os
 import re
 import shutil
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, NoReturn
 
+from ._record import Record
 from .errors import StorageError, ValidationError
 
 __all__ = [
@@ -39,8 +39,7 @@ _MAX_RENDERED = 512
 _FILE_SUFFIX = ".json"
 
 
-@dataclass(frozen=True)
-class StoreKey:
+class StoreKey(Record):
     """Ordered, validated key segments; renders as ``seg/seg/.../seg``."""
 
     segments: tuple[str, ...]

@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import EmptySummaryError, ValidationError
 from .sketch import QuantileSketch
 
 __all__ = ["ApproxCdf", "build_cdf", "density_from_cdf"]
 
 
-@dataclass(frozen=True)
-class ApproxCdf:
+class ApproxCdf(Record):
     """Piecewise-linear CDF estimate: ``probabilities[i]`` of the mass lies
     at or below ``breakpoints[i]``.  Immutable once built."""
 

@@ -4,7 +4,8 @@
 threshold reaction walks the days down from ``as_of`` until one holds its
 metric.  The reference for both is the full scan they replace: parse every
 stored document, then filter.  A query command also starts without numpy,
-and so does every drift command; only ``synth`` loads it.
+and so does every drift command; only ``synth`` loads it.  Queries and
+reactions load no data-file, statistics, ``dataclasses`` or ``logging`` code.
 """
 
 from __future__ import annotations
@@ -259,20 +260,64 @@ def test_query_and_reaction_commands_leave_numpy_unloaded(tmp_path: Path) -> Non
         ["run-reaction", *common, "--reaction", "alert", "--as-of", "2022-03-31"],
         ["get-logs", *common, "--reaction", "alert", "--format", "csv"],
     ]
-    assert run_in_fresh_interpreter(commands) == {
+    assert run_in_fresh_interpreter(commands, ("numpy", "dataclasses")) == {
         "codes": [EXIT_OK] * len(commands),
-        "numpy": False,
+        "loaded": [],
     }
 
 
-def run_in_fresh_interpreter(commands: list[list[str]]) -> dict:
+#: Modules that only data, statistics or ``synth`` commands run.
+NOT_FOR_QUERIES = (
+    "driftmon.data",
+    "driftmon.performance",
+    "driftmon.sketch",
+    "driftmon.summary",
+    "driftmon.drift",
+    "driftmon.synth",
+    "dataclasses",
+    "logging",
+    "numpy",
+)
+
+
+def test_queries_and_reactions_load_no_data_statistics_or_dataclass_code(
+    history: MonitoringService,
+) -> None:
+    """``import driftmon.cli``, queries, setting and running both kinds of
+    reaction, and reading and deleting logs load none of the modules that
+    data files, drift statistics or ``synth`` need, nor ``dataclasses`` or
+    ``logging``."""
+    common = ["--store", str(history.store.root), "--model", "m1"]
+    commands = [
+        ["set-reaction", *common, "--id", "report", "--kind", "report", "--monitor", "d1"]
+        + ["--from", "2022-01-01", "--to", "2022-02-18", "--sample-size", "5"],
+        ["get-metrics", *common, "--monitor", "d1", "--from", "2022-01-17", "--to", "2022-01-23"],
+        ["get-metrics", *common, "--monitor", "d1", "--from", "2022-01-01", "--to", "2022-02-18"]
+        + ["--format", "doc"],
+        ["run-reaction", *common, "--reaction", "alert", "--as-of", "2022-02-18"],
+        ["run-reaction", *common, "--reaction", "report", "--as-of", "2022-02-18"],
+        ["get-logs", *common, "--reaction", "alert"],
+        ["get-logs", *common, "--reaction", "report", "--format", "doc"],
+        ["delete", *common, "--kind", "logs", "--reaction", "report"],
+    ]
+    assert run_in_fresh_interpreter([], NOT_FOR_QUERIES) == {"codes": [], "loaded": []}
+    assert run_in_fresh_interpreter(commands, NOT_FOR_QUERIES) == {
+        "codes": [EXIT_OK] * len(commands),
+        "loaded": [],
+    }
+
+
+def run_in_fresh_interpreter(
+    commands: list[list[str]], modules: tuple[str, ...] = ("numpy",)
+) -> dict:
     """Run each command through ``cli.main`` in one new interpreter and
-    return its exit codes and whether numpy was loaded at the end."""
+    return its exit codes and which of ``modules`` were loaded at the end."""
     script = (
         "import json, sys\n"
         "from driftmon.cli import main\n"
         f"codes = [main(argv) for argv in {commands!r}]\n"
-        "print(json.dumps({'codes': codes, 'numpy': 'numpy' in sys.modules}))\n"
+        f"loaded = [name for name in {modules!r} if name in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
     )
     src = str(Path(driftmon.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -289,7 +334,7 @@ def run_in_fresh_interpreter(commands: list[list[str]]) -> dict:
 def test_drift_commands_leave_numpy_unloaded_and_synth_loads_it(tmp_path: Path) -> None:
     data = str(tmp_path / "data")
     synth = [["synth", "--out", data, "--units", "300", "--seed", "5", "--shift", "0.2"]]
-    assert run_in_fresh_interpreter(synth) == {"codes": [EXIT_OK], "numpy": True}
+    assert run_in_fresh_interpreter(synth) == {"codes": [EXIT_OK], "loaded": ["numpy"]}
     common = ["--store", str(tmp_path / "store"), "--model", "m1"]
     commands = [
         ["register-model", "--store", str(tmp_path / "store"), "--id", "m1"],
@@ -299,8 +344,8 @@ def test_drift_commands_leave_numpy_unloaded_and_synth_loads_it(tmp_path: Path) 
         ["run-monitor", *common, "--monitor", "d1", "--date", "2022-03-20"]
         + ["--data", f"{data}/inference.csv"],
     ]
-    assert run_in_fresh_interpreter(commands) == {
+    assert run_in_fresh_interpreter(commands, ("numpy", "dataclasses")) == {
         "codes": [EXIT_OK] * len(commands),
-        "numpy": False,
+        "loaded": [],
     }
     assert len(list((tmp_path / "store").rglob("2022-03-20/*.json"))) == 4

@@ -1,0 +1,160 @@
+"""The value records behave as frozen dataclasses would.
+
+Each record class is built by keyword and by position, with defaults for
+the fields left out, and then validated; records compare and hash by their
+fields, print every field, and refuse assignment.
+"""
+
+from __future__ import annotations
+
+from datetime import date, datetime, timezone
+from pathlib import Path
+
+import pytest
+
+from driftmon import (
+    ApproxCdf,
+    DatasetHandle,
+    DatasetKind,
+    LogRecord,
+    MetricRecord,
+    ModelRegistration,
+    MonitorConfig,
+    MonitorKind,
+    ReactionConfig,
+    ReactionKind,
+    Severity,
+    StoreKey,
+    ValidationError,
+)
+
+CREATED = datetime(2022, 3, 20, 6, 0, tzinfo=timezone.utc)
+
+#: One instance of each record class, built by position, with the keyword
+#: arguments that build the same record.
+RECORDS = {
+    "ModelRegistration": (
+        ModelRegistration("m1", "demand model", CREATED),
+        dict(model_id="m1", description="demand model", created_at=CREATED),
+    ),
+    "MonitorConfig": (
+        MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1", "f2"), 0.01),
+        dict(monitor_id="d1", model_id="m1", kind=MonitorKind.DRIFT, quantities=("f1", "f2"),
+             epsilon=0.01, cdf_points=100, density_bins=100),
+    ),
+    "MetricRecord": (
+        MetricRecord("m1", "d1", date(2022, 3, 20), "f1", {"ks_distance": 0.1}, {"n": 3}),
+        dict(model_id="m1", monitor_id="d1", eval_date=date(2022, 3, 20), quantity="f1",
+             metrics={"ks_distance": 0.1}, context={"n": 3}),
+    ),
+    "ReactionConfig": (
+        ReactionConfig("r1", "m1", ReactionKind.THRESHOLD, "d1", "ks_distance", ">", 0.2),
+        dict(reaction_id="r1", model_id="m1", kind=ReactionKind.THRESHOLD, monitor_id="d1",
+             metric_name="ks_distance", comparator=">", threshold=0.2,
+             date_from=None, date_to=None, sample_size=None),
+    ),
+    "LogRecord": (
+        LogRecord("m1", "r1", CREATED, Severity.ALERT, {"fired": True}),
+        dict(model_id="m1", reaction_id="r1", created_at=CREATED, severity=Severity.ALERT,
+             body={"fired": True}),
+    ),
+    "StoreKey": (StoreKey(("model", "m1")), dict(segments=("model", "m1"))),
+    "DatasetHandle": (
+        DatasetHandle(Path("day.csv"), DatasetKind.DAILY_INFERENCE, ("unit_id", "f1")),
+        dict(path=Path("day.csv"), kind=DatasetKind.DAILY_INFERENCE, columns=("unit_id", "f1")),
+    ),
+    "ApproxCdf": (
+        ApproxCdf("f1", 4, (1.0, 2.0), (0.5, 1.0)),
+        dict(label="f1", sample_count=4, breakpoints=(1.0, 2.0), probabilities=(0.5, 1.0)),
+    ),
+}
+
+
+@pytest.fixture(params=list(RECORDS), ids=list(RECORDS))
+def case(request):
+    return RECORDS[request.param]
+
+
+def test_positional_and_keyword_construction_agree(case) -> None:
+    record, fields = case
+    cls = type(record)
+    assert record == cls(**fields) == cls(*fields.values())
+    assert record != tuple(fields.values())
+    if _hashable(record):
+        assert hash(record) == hash(cls(**fields))
+
+
+def test_repr_names_every_field_in_order(case) -> None:
+    record, fields = case
+    body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{type(record).__name__}({body})"
+
+
+def test_assignment_and_deletion_raise(case) -> None:
+    record, fields = case
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, name, "other")
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    assert getattr(record, name) == fields[name]
+
+
+def test_calls_that_do_not_fit_the_fields_raise_type_error(case) -> None:
+    record, fields = case
+    cls = type(record)
+    first = next(iter(fields))
+    with pytest.raises(TypeError):
+        cls(**fields, not_a_field=1)
+    with pytest.raises(TypeError):
+        cls(fields[first], **fields)
+    with pytest.raises(TypeError):  # more values than any record has fields
+        cls(*fields.values(), *[None] * 11)
+    with pytest.raises(TypeError):
+        cls()
+
+
+def test_defaults_fill_the_fields_left_out() -> None:
+    config = MonitorConfig("d1", "m1", MonitorKind.PERFORMANCE)
+    assert (config.quantities, config.epsilon, config.cdf_points, config.density_bins) == (
+        (), 0.001, 100, 100,
+    )
+    reaction = ReactionConfig(
+        "r1", "m1", ReactionKind.REPORT, "d1",
+        date_from=date(2022, 1, 1), date_to=date(2022, 1, 31), sample_size=5,
+    )
+    assert (reaction.metric_name, reaction.comparator, reaction.threshold) == (None, None, None)
+
+
+def test_validation_runs_on_every_construction() -> None:
+    with pytest.raises(ValidationError, match="segment"):
+        StoreKey(("model", "a b"))
+    with pytest.raises(ValidationError, match="segment"):
+        StoreKey(segments=("model", "a b"))
+    with pytest.raises(ValidationError, match="needs at least one quantity"):
+        MonitorConfig("d1", "m1", MonitorKind.DRIFT)
+
+
+def test_store_keys_work_as_dict_keys_and_set_members() -> None:
+    index = {StoreKey.of("model", "m1"): 1, StoreKey.of("model", "m2"): 2}
+    assert index[StoreKey.parse("model/m1")] == 1
+    assert index[StoreKey.of("model").child("m2")] == 2
+    assert StoreKey.of("model", "m3") not in index
+    assert len({StoreKey.of("a", "b"), StoreKey.parse("a/b"), StoreKey(("a", "b"))}) == 1
+    assert hash(StoreKey.of("a", "b")) == hash(StoreKey.parse("a/b"))
+
+
+def test_records_holding_dicts_are_unhashable() -> None:
+    record, _ = RECORDS["MetricRecord"]
+    with pytest.raises(TypeError):
+        hash(record)
+
+
+def _hashable(record) -> bool:
+    try:
+        hash(record)
+    except TypeError:
+        return False
+    return True

@@ -2,15 +2,34 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import shutil
+import subprocess
+import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from driftmon import FileStore, StorageError, StoreKey, ValidationError, dumps_doc, loads_doc
+import driftmon
+from driftmon import (
+    FileStore,
+    LogRecord,
+    MetricRecord,
+    MonitorConfig,
+    MonitorKind,
+    MonitoringService,
+    ReactionConfig,
+    ReactionKind,
+    StorageError,
+    StoreKey,
+    ValidationError,
+    dumps_doc,
+    loads_doc,
+)
 from driftmon.store import format_real
 
 
@@ -315,6 +334,68 @@ class TestFileStore:
         with pytest.raises(ValidationError, match="well-formed"):
             store.create(StoreKey.of("model", "m2"), "{")
         assert store.get(StoreKey.of("model", "m2")) is None
+
+    def test_two_processes_appending_logs_lose_none(self, store: FileStore) -> None:
+        """Two processes run one reaction 25 times each, at once, in one
+        store: all 50 logs are kept, whole and under distinct keys."""
+        service = MonitoringService(store)
+        service.register_model("m1")
+        service.set_monitor(MonitorConfig("p1", "m1", MonitorKind.PERFORMANCE))
+        record = MetricRecord(
+            "m1", "p1", date(2022, 3, 20), "velocity", {"mae": 0.5}, {"n": 1}
+        )
+        store.put(
+            StoreKey.of("model", "m1", "monitor", "p1", "metrics", "2022-03-20", "velocity"),
+            dumps_doc(record.to_doc()),
+        )
+        service.set_reaction(
+            ReactionConfig(
+                "alert", "m1", ReactionKind.THRESHOLD, "p1",
+                metric_name="mae", comparator=">", threshold=1.0,
+            )
+        )
+        # Each process signals that it has started, then waits for the
+        # other, so the two loops of runs overlap.
+        script = (
+            "import json, sys\n"
+            "from datetime import date\n"
+            "from driftmon import FileStore, MonitoringService\n"
+            "service = MonitoringService(FileStore(sys.argv[1]))\n"
+            "print('ready', flush=True)\n"
+            "sys.stdin.readline()\n"
+            "logs = [service.run_reaction('m1', 'alert', date(2022, 3, 20))[0]\n"
+            "        for _ in range(25)]\n"
+            "print(json.dumps([log.to_doc()['created_at'] for log in logs]))\n"
+        )
+        src = str(Path(driftmon.__file__).resolve().parents[1])
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(store.root)],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            for _ in range(2)
+        ]
+        try:
+            assert [proc.stdout.readline() for proc in procs] == ["ready\n"] * 2
+            outputs = [proc.communicate("go\n", timeout=60) for proc in procs]
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+        assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outputs]
+        written = [stamp for out, _ in outputs for stamp in json.loads(out)]
+
+        keys = store.list(StoreKey.of("model", "m1", "reaction", "alert", "log"))
+        assert len(keys) == len(set(keys)) == 50
+        stored = [LogRecord.from_doc(loads_doc(store.get(key))) for key in keys]
+        assert sorted(log.to_doc()["created_at"] for log in stored) == sorted(written)
+        assert len(set(written)) == 50
+        assert list(store.root.rglob(".put-*.tmp")) == []
 
     def test_failed_link_is_a_storage_error_and_leaves_no_temp_file(
         self, store: FileStore, tmp_path: Path, monkeypatch
