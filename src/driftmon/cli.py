@@ -14,7 +14,7 @@ import argparse
 import io
 import os
 import sys
-from datetime import date, datetime, timezone
+from datetime import date, datetime
 from pathlib import Path
 from typing import Callable
 
@@ -50,12 +50,9 @@ def _iso_date(text: str) -> date:
 
 def _iso_timestamp(text: str) -> datetime:
     try:
-        ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        return core._parse_ts(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an ISO timestamp: {text!r}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +198,7 @@ def _log_table_rows(records: list[LogRecord]) -> tuple[list[str], list[list[str]
         [
             r.model_id,
             r.reaction_id,
-            r.created_at.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            core._iso_seconds(r.created_at),
             r.severity.value,
             dumps_doc(r.body).rstrip("\n"),
         ]

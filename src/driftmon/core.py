@@ -95,18 +95,23 @@ def _now() -> datetime:
     return datetime.now(timezone.utc)
 
 
+def _as_utc(ts: datetime) -> datetime:
+    """``ts``, read as UTC when it names no zone."""
+    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
+
+
 def _iso_seconds(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).replace(microsecond=0).isoformat().replace("+00:00", "Z")
+    return _iso_micro(ts)[:19] + "Z"
 
 
 def _iso_micro(ts: datetime) -> str:
     # Log records keep full precision: their append-only keys are derived
     # from this timestamp and must stay unique and faithful to the body.
-    return ts.astimezone(timezone.utc).isoformat(timespec="microseconds").replace("+00:00", "Z")
+    return _as_utc(ts).astimezone(timezone.utc).isoformat(timespec="microseconds")[:-6] + "Z"
 
 
 def _parse_ts(text: str) -> datetime:
-    return datetime.fromisoformat(text.replace("Z", "+00:00"))
+    return _as_utc(datetime.fromisoformat(text.replace("Z", "+00:00")))
 
 
 class ModelRegistration(Record):
@@ -138,6 +143,14 @@ class MonitorConfig(Record):
     def __post_init__(self) -> None:
         _check_identifier("monitor_id", self.monitor_id)
         _check_identifier("model_id", self.model_id)
+        # The types the sketch and the summary grid take, so that a stored
+        # monitor never runs at another resolution than it names.
+        if not isinstance(self.epsilon, float):
+            raise ValidationError(f"epsilon must be a float, got {self.epsilon!r}")
+        for name in ("cdf_points", "density_bins"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.kind is MonitorKind.DRIFT:
             if not self.quantities:
                 raise ValidationError("a drift monitor needs at least one quantity")
@@ -159,18 +172,12 @@ class MonitorConfig(Record):
                     raise ValidationError(f"a performance monitor takes no {name}")
 
     def to_doc(self) -> dict[str, Any]:
-        parameters: dict[str, Any] = {}
-        if self.kind is MonitorKind.DRIFT:
-            parameters = {
-                "cdf_points": self.cdf_points,
-                "density_bins": self.density_bins,
-                "epsilon": self.epsilon,
-            }
+        drift = self.kind is MonitorKind.DRIFT
         return {
             "kind": self.kind.value,
             "model_id": self.model_id,
             "monitor_id": self.monitor_id,
-            "parameters": parameters,
+            "parameters": {name: getattr(self, name) for name in _RESOLUTION_DEFAULTS if drift},
             "quantities": list(self.quantities),
         }
 
@@ -182,9 +189,7 @@ class MonitorConfig(Record):
             model_id=doc["model_id"],
             kind=MonitorKind(doc["kind"]),
             quantities=tuple(doc.get("quantities") or ()),
-            epsilon=float(params.get("epsilon", DEFAULT_EPSILON)),
-            cdf_points=int(params.get("cdf_points", DEFAULT_CDF_POINTS)),
-            density_bins=int(params.get("density_bins", DEFAULT_DENSITY_BINS)),
+            **{name: params.get(name, default) for name, default in _RESOLUTION_DEFAULTS.items()},
         )
 
 
@@ -210,6 +215,11 @@ class MetricRecord(Record):
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "MetricRecord":
+        # Queries sort records by quantity, so a non-string one would fail
+        # there, outside the document's key.
+        for name in ("model_id", "monitor_id", "quantity"):
+            if not isinstance(doc[name], str):
+                raise ValueError(f"{name} must be a string, got {doc[name]!r}")
         metrics = {k: float(v) for k, v in doc["metrics"].items()}
         # ``json`` reads an overflowing literal such as 1e400 as infinity.
         for name, value in metrics.items():
@@ -332,7 +342,8 @@ class LogRecord(Record):
         return cls(
             model_id=doc["model_id"],
             reaction_id=doc["reaction_id"],
-            created_at=_parse_ts(doc["created_at"]),
+            # Held in UTC, so rendering it cannot overflow outside ``_load``.
+            created_at=_parse_ts(doc["created_at"]).astimezone(timezone.utc),
             severity=Severity(doc["severity"]),
             body=dict(doc["body"]),
         )
@@ -393,7 +404,7 @@ class MonitoringService:
             return None
         try:
             return decode(loads_doc(body))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise StorageError(f"corrupt document {key}: {exc!r}") from exc
 
     # -- models ----------------------------------------------------------
@@ -444,7 +455,7 @@ class MonitoringService:
         for cdf in summaries:
             self.store.put(
                 self._baseline_prefix(model_id, monitor_id).child(cdf.label),
-                dumps_doc(_cdf_to_doc(cdf)),
+                dumps_doc(cdf.to_doc()),
             )
         return summaries
 
@@ -508,11 +519,12 @@ class MonitoringService:
         self, config: MonitorConfig, eval_date: date, data: DatasetHandle
     ) -> list[MetricRecord]:
         from .drift import drift_evaluate
+        from .summary import ApproxCdf
 
         baselines: dict[str, ApproxCdf] = {}
         for quantity in config.quantities:
             key = self._baseline_prefix(config.model_id, config.monitor_id).child(quantity)
-            baseline = self._load(key, _cdf_from_doc)
+            baseline = self._load(key, ApproxCdf.from_doc)
             if baseline is None:
                 raise PreconditionError(
                     f"no baseline for quantity {quantity!r}; run snapshot-baseline first"
@@ -730,7 +742,8 @@ class MonitoringService:
         from_ts: datetime | None = None,
         to_ts: datetime | None = None,
     ) -> list[LogRecord]:
-        """Stored logs in the inclusive timestamp range, oldest first."""
+        """Stored logs in the inclusive timestamp range, oldest first; no zone means UTC."""
+        from_ts, to_ts = (ts and _as_utc(ts) for ts in (from_ts, to_ts))
         if from_ts is not None and to_ts is not None and from_ts > to_ts:
             raise ValidationError("log range is reversed: from_ts is after to_ts")
         logs = []
@@ -782,23 +795,3 @@ class MonitoringService:
         if kind == "reaction":
             return int(self.store.remove(self._reaction_key(model_id, reaction_id)))
         return self.store.delete(self._log_prefix(model_id, reaction_id))
-
-
-def _cdf_to_doc(cdf: ApproxCdf) -> dict[str, Any]:
-    return {
-        "breakpoints": list(cdf.breakpoints),
-        "label": cdf.label,
-        "probabilities": list(cdf.probabilities),
-        "sample_count": cdf.sample_count,
-    }
-
-
-def _cdf_from_doc(doc: Mapping[str, Any]) -> ApproxCdf:
-    from .summary import ApproxCdf
-
-    return ApproxCdf(
-        label=doc["label"],
-        sample_count=int(doc["sample_count"]),
-        breakpoints=tuple(float(b) for b in doc["breakpoints"]),
-        probabilities=tuple(float(p) for p in doc["probabilities"]),
-    )

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
+from ._record import Record
 from .data import DatasetHandle, DatasetKind, open_dataset
 from .errors import ValidationError
 from .performance import VELOCITY_WINDOW_DAYS
@@ -36,8 +36,7 @@ _PREDICTION_SLOPE = 0.4
 _PREDICTION_NOISE = 0.3
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(Record):
     """Shape of one synthetic dataset trio."""
 
     n_units: int

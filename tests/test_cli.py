@@ -268,6 +268,41 @@ class TestExitCodes:
         assert "ks_distance" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "doc"])
+    def test_metric_with_a_non_string_quantity_is_an_io_error(self, workspace, cli, fmt) -> None:
+        """Queries sort records by quantity; a number there is corrupt."""
+        store, _ = workspace
+        key = "model/m1/monitor/d1/metrics/2022-03-20/f1"
+        path = Path(store, key + ".json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["quantity"] = 5
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = cli(
+            "get-metrics", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--from", "2022-03-20", "--to", "2022-03-20", "--format", fmt,
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert f"corrupt document {key}" in err
+        assert "quantity" in err
+        assert "Traceback" not in err
+
+    def test_non_integer_stored_cdf_points_is_an_io_error(self, workspace, cli) -> None:
+        """``2.5`` is not truncated to a 2-point grid."""
+        store, data = workspace
+        key = "model/m1/monitor/d1"
+        path = Path(store, key + ".json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["parameters"]["cdf_points"] = 2.5
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = cli(
+            "snapshot-baseline", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--data", str(data / "training.csv"),
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert f"corrupt document {key}" in err
+        assert "cdf_points" in err
+        assert "Traceback" not in err
+
     def test_stored_document_that_is_not_utf8_is_an_io_error(self, workspace, cli) -> None:
         store, _ = workspace
         with open(Path(store, "model", "m1.json"), "ab") as handle:
@@ -533,6 +568,47 @@ class TestReactionCommands:
         assert (code, out) == (EXIT_USAGE, "")
         assert "not an ISO timestamp" in err
         assert "Traceback" not in err
+
+    def test_stored_log_times_are_read_and_shown_in_utc(self, workspace, cli) -> None:
+        """A stored ``created_at`` without a zone is UTC, and one in another
+        zone is shown converted to UTC."""
+        store, _ = workspace
+        reaction = ("--store", store, "--model", "m1", "--reaction", "r1")
+        cli(
+            "set-reaction", "--store", store, "--model", "m1", "--id", "r1",
+            "--kind", "threshold", "--monitor", "d1", "--metric", "ks_distance",
+            "--comparator", ">=", "--threshold", "0.0",
+        )
+        assert cli("run-reaction", *reaction, "--as-of", "2022-03-25")[0] == EXIT_OK
+        (path,) = Path(store, "model/m1/reaction/r1/log").glob("*.json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+
+        doc["created_at"] = "2022-03-21T12:00:00.000000"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = cli("get-logs", *reaction, "--from", "2022-01-01T00:00:00Z")
+        assert code == EXIT_OK, err
+        assert "2022-03-21T12:00:00Z" in out
+        code, out, _ = cli("get-logs", *reaction, "--from", "2022-03-21T12:00:01Z")
+        assert (code, out.splitlines()[1:]) == (EXIT_OK, [])
+
+        doc["created_at"] = "2022-03-21T12:00:00.000000+02:00"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for fmt in ("table", "csv"):
+            code, out, err = cli("get-logs", *reaction, "--format", fmt)
+            assert code == EXIT_OK, err
+            assert "2022-03-21T10:00:00Z" in out
+            assert "12:00:00" not in out
+        code, out, _ = cli("get-logs", *reaction, "--format", "doc")
+        assert loads_doc(out)["created_at"] == "2022-03-21T10:00:00.000000Z"
+
+        # A zone that puts the time before year 1 in UTC: corrupt, not a traceback.
+        doc["created_at"] = "0001-01-01T00:00:00.000000+02:00"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for fmt in ("table", "doc"):
+            code, out, err = cli("get-logs", *reaction, "--format", fmt)
+            assert (code, out) == (EXIT_IO, "")
+            assert "corrupt document model/m1/reaction/r1/log/" in err
+            assert "Traceback" not in err
 
     def test_report_lifecycle(self, workspace, cli) -> None:
         store, _ = workspace

@@ -3,7 +3,9 @@ reactions, and logs over the document store."""
 
 from __future__ import annotations
 
+import time
 from datetime import date, datetime, timedelta, timezone
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from driftmon import (
     FileStore,
     LogRecord,
     MetricRecord,
+    ModelRegistration,
     MonitorConfig,
     MonitorKind,
     MonitoringService,
@@ -145,6 +148,17 @@ class TestMonitorConfig:
             MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1",), cdf_points=0)
         with pytest.raises(ValidationError, match="density_bins"):
             MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1",), density_bins=-1)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("epsilon", Decimal("0.01")), ("cdf_points", 2.5), ("density_bins", True),
+         ("density_bins", 10.0)],
+    )
+    def test_resolution_fields_take_the_types_the_summaries_take(self, field: str, value) -> None:
+        """A value the sketch or the grid would reject, or that ``int``
+        would truncate, is refused when the monitor is built."""
+        with pytest.raises(ValidationError, match=field):
+            MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1",), **{field: value})
 
 
 class TestSnapshotBaseline:
@@ -757,6 +771,27 @@ class TestGetLogs:
         with pytest.raises(ValidationError, match="reversed"):
             service.get_logs("m1", "r1", from_ts=late, to_ts=early)
 
+    def test_bounds_and_stored_times_without_a_zone_are_utc(
+        self, logged, service: MonitoringService, store: FileStore
+    ) -> None:
+        """A naive bound, or a stored ``created_at`` that lost its ``Z``,
+        compares as the UTC time it names."""
+        stamps = sorted(log.created_at for log in logged)
+        naive = stamps[1].replace(tzinfo=None)
+        assert [log.created_at for log in service.get_logs("m1", "r1", naive, naive)] == [
+            stamps[1]
+        ]
+        assert service.get_logs("m1", "r1", from_ts=datetime(2022, 1, 1)) == service.get_logs(
+            "m1", "r1"
+        )
+        key = store.list(StoreKey.of("model", "m1", "reaction", "r1", "log"))[0]
+        doc = loads_doc(store.get(key))
+        doc["created_at"] = doc["created_at"].removesuffix("Z")
+        store.put(key, dumps_doc(doc))
+        for bound in (datetime(2022, 1, 1), datetime(2022, 1, 1, tzinfo=timezone.utc)):
+            logs = service.get_logs("m1", "r1", from_ts=bound)
+            assert [log.created_at for log in logs] == stamps
+
     def test_unknown_reaction_yields_empty(self, service: MonitoringService) -> None:
         assert service.get_logs("mx", "rx") == []
 
@@ -913,6 +948,24 @@ class TestRecordSerialization:
             body={"fired": True, "values": {"f1": 0.3}},
         )
         assert LogRecord.from_doc(loads_doc(dumps_doc(record.to_doc()))) == record
+
+    def test_times_without_a_zone_are_written_as_utc(self, monkeypatch) -> None:
+        """A record built with a naive time stores it as the UTC time it is
+        read back as, whatever the local zone."""
+        naive = datetime(2022, 3, 20, 10, 30)
+        monkeypatch.setenv("TZ", "Europe/Berlin")
+        time.tzset()
+        try:
+            log = LogRecord("m1", "r1", naive, Severity.INFO, {})
+            assert log.to_doc()["created_at"] == "2022-03-20T10:30:00.000000Z"
+            assert LogRecord.from_doc(log.to_doc()).created_at == naive.replace(
+                tzinfo=timezone.utc
+            )
+            registration = ModelRegistration("m1", "", naive)
+            assert registration.to_doc()["created_at"] == "2022-03-20T10:30:00Z"
+        finally:
+            monkeypatch.undo()
+            time.tzset()
 
     def test_severity_serializes_as_plain_text(self) -> None:
         assert Severity.INFO.value == "info"

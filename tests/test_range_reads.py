@@ -334,18 +334,29 @@ def run_in_fresh_interpreter(
 def test_drift_commands_leave_numpy_unloaded_and_synth_loads_it(tmp_path: Path) -> None:
     data = str(tmp_path / "data")
     synth = [["synth", "--out", data, "--units", "300", "--seed", "5", "--shift", "0.2"]]
-    assert run_in_fresh_interpreter(synth) == {"codes": [EXIT_OK], "loaded": ["numpy"]}
+    assert run_in_fresh_interpreter(synth, ("numpy", "dataclasses")) == {
+        "codes": [EXIT_OK],
+        "loaded": ["numpy"],
+    }
     common = ["--store", str(tmp_path / "store"), "--model", "m1"]
-    commands = [
-        ["register-model", "--store", str(tmp_path / "store"), "--id", "m1"],
-        ["set-monitor", *common, "--id", "d1", "--kind", "drift"]
-        + ["--quantities", "f1,f2,f3,prediction"],
-        ["snapshot-baseline", *common, "--monitor", "d1", "--data", f"{data}/training.csv"],
-        ["run-monitor", *common, "--monitor", "d1", "--date", "2022-03-20"]
-        + ["--data", f"{data}/inference.csv"],
-    ]
+    commands = [["register-model", "--store", str(tmp_path / "store"), "--id", "m1"]]
+    # At epsilon 0.05 a sketch level holds 258 values, so d2 compacts each
+    # 300-row column; at the default (d1) nothing compacts.
+    for monitor, resolution in (("d1", []), ("d2", ["--epsilon", "0.05"])):
+        commands += [
+            ["set-monitor", *common, "--id", monitor, "--kind", "drift"]
+            + ["--quantities", "f1,f2,f3,prediction", *resolution],
+            ["snapshot-baseline", *common, "--monitor", monitor]
+            + ["--data", f"{data}/training.csv"],
+            ["run-monitor", *common, "--monitor", monitor, "--date", "2022-03-20"]
+            + ["--data", f"{data}/inference.csv"],
+        ]
     assert run_in_fresh_interpreter(commands, ("numpy", "dataclasses")) == {
         "codes": [EXIT_OK] * len(commands),
         "loaded": [],
     }
-    assert len(list((tmp_path / "store").rglob("2022-03-20/*.json"))) == 4
+    stored = list((tmp_path / "store").rglob("2022-03-20/*.json"))
+    assert len(stored) == 8
+    assert {json.loads(p.read_text(encoding="utf-8"))["context"]["n_current"] for p in stored} == {
+        300
+    }

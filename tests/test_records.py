@@ -25,6 +25,7 @@ from driftmon import (
     ReactionKind,
     Severity,
     StoreKey,
+    SynthSpec,
     ValidationError,
 )
 
@@ -66,6 +67,11 @@ RECORDS = {
     "ApproxCdf": (
         ApproxCdf("f1", 4, (1.0, 2.0), (0.5, 1.0)),
         dict(label="f1", sample_count=4, breakpoints=(1.0, 2.0), probabilities=(0.5, 1.0)),
+    ),
+    "SynthSpec": (
+        SynthSpec(500, 0.5, 2, 0.1, 1.5, 3),
+        dict(n_units=500, density=0.5, n_features=2, location_shift=0.1, scale_factor=1.5,
+             seed=3),
     ),
 }
 
