@@ -8,13 +8,89 @@ equal and hash by their field values, print as ``Name(field=value, ...)``
 and refuse assignment.  Every subclass shares these few methods, so a
 command defines its record classes without importing ``dataclasses``
 (which loads ``inspect`` and ``ast``) or compiling per-class code.
+
+A record is also its stored document: ``to_doc`` and ``from_doc`` take
+each field's codec from its annotation by the table ``_CODECS``, so this
+module alone knows the document format.  A stored value its field does
+not take is an error naming the field, never coerced into another.
 """
 
 from __future__ import annotations
 
-from typing import Any, TypeVar
+import math
+import sys
+from datetime import date, datetime, timezone
+from enum import Enum
+from operator import attrgetter
+from typing import Any, Callable, Mapping, TypeVar
 
 _R = TypeVar("_R", bound="Record")
+
+
+def _as_utc(ts: datetime) -> datetime:
+    """``ts``, read as UTC when it names no zone."""
+    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
+
+
+def _iso_seconds(ts: datetime) -> str:
+    return _iso_micro(ts)[:19] + "Z"
+
+
+def _iso_micro(ts: datetime) -> str:
+    # Log records keep full precision: their append-only keys are derived
+    # from this timestamp and must stay unique and faithful to the body.
+    return _as_utc(ts).astimezone(timezone.utc).isoformat(timespec="microseconds")[:-6] + "Z"
+
+
+def _parse_ts(text: str) -> datetime:
+    return _as_utc(datetime.fromisoformat(text.replace("Z", "+00:00")))
+
+
+def _is_str(value: Any) -> bool:
+    return value.__class__ is str
+
+
+def _is_real(value: Any) -> bool:
+    # ``json`` reads an overflowing literal such as 1e400 as infinity.
+    return isinstance(value, float) and math.isfinite(value)
+
+
+#: Per field annotation: what a stored value must be, its check, and its
+#: decoder and encoder (``None``: kept as it is).  Classes match exactly, as
+#: ``true`` is an ``int``; reals are written with ``float()``, and times are
+#: read in UTC, so that rendering one cannot overflow.
+_CODECS: dict[str, tuple[str, Callable[[Any], bool], Callable | None, Callable | None]] = {
+    "str": ("a string", _is_str, None, None),
+    "int": ("an integer", lambda v: v.__class__ is int, None, None),
+    "float": ("a finite real", _is_real, None, float),
+    # Only the form ``isoformat`` writes: on some Python versions
+    # ``fromisoformat`` also reads ``20220320`` and ``2022-W12-1``.
+    "date": (
+        "a YYYY-MM-DD date",
+        lambda v: v.__class__ is str and len(v) == 10 and v[4] == v[7] == "-",
+        date.fromisoformat,
+        date.isoformat,
+    ),
+    "datetime": (
+        "a timestamp", _is_str, lambda v: _parse_ts(v).astimezone(timezone.utc), _iso_micro
+    ),
+    "tuple[str, ...]": (
+        "a list of strings", lambda v: v.__class__ is list and all(map(_is_str, v)), tuple, list
+    ),
+    "tuple[float, ...]": (
+        "a list of finite reals",
+        lambda v: v.__class__ is list and all(map(_is_real, v)),
+        tuple,
+        lambda v: list(map(float, v)),
+    ),
+    "dict[str, float]": (
+        "an object of finite reals",
+        lambda v: v.__class__ is dict and all(map(_is_real, v.values())),
+        dict,
+        lambda v: {k: float(x) for k, x in v.items()},
+    ),
+    "dict[str, Any]": ("an object", lambda v: v.__class__ is dict, dict, dict),
+}
 
 
 class Record:
@@ -23,12 +99,15 @@ class Record:
     _fields: tuple[str, ...] = ()
     _names: frozenset[str] = frozenset()
     _defaults: dict[str, Any] = {}
+    #: ``(name, expected, check, decode, encode)`` per field, from ``_codec``.
+    _table: tuple | None = None
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._names = frozenset(cls._fields)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._table = None
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         # Records are built in bulk when a query reads stored documents, so
@@ -87,6 +166,57 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _codec(cls) -> tuple:
+        """Resolve the fields' codecs at first use.  An enum is named by its
+        class, in the record's module; ``X | None`` also reads ``null``."""
+        namespace = vars(sys.modules[cls.__module__])
+        table = []
+        for name, annotation in cls.__annotations__.items():
+            base = annotation.removesuffix(" | None")
+            enum = namespace.get(base)
+            if base in _CODECS:
+                expected, ok, decode, encode = _CODECS[base]
+            elif isinstance(enum, type) and issubclass(enum, Enum):
+                values = {m.value for m in enum}
+                expected, decode, encode = f"one of {sorted(values)}", enum, attrgetter("value")
+                ok = lambda v, values=values: _is_str(v) and v in values  # noqa: E731
+            else:
+                raise TypeError(f"{cls.__qualname__}.{name} has no codec for {annotation!r}")
+            if base != annotation:
+                ok = lambda v, ok=ok: v is None or ok(v)  # noqa: E731
+            table.append((name, expected, ok, decode, encode))
+        cls._table = tuple(table)
+        return cls._table
+
+    def to_doc(self) -> dict[str, Any]:
+        """The record as a stored document, one key per field not ``None``."""
+        doc = {}
+        for name, _, _, _, encode in self._table or self._codec():
+            value = self.__dict__[name]
+            if value is not None:
+                doc[name] = value if encode is None else encode(value)
+        return doc
+
+    @classmethod
+    def from_doc(cls: type[_R], doc: Mapping[str, Any]) -> _R:
+        """The record a stored document holds; a key left out takes the
+        field's default.  A value its field does not take is a
+        ``ValueError`` naming the field."""
+        values = []
+        for name, expected, ok, decode, _ in cls._table or cls._codec():
+            try:
+                value = doc[name]
+            except KeyError:
+                value = cls._defaults[name]
+            else:
+                if not ok(value):
+                    raise ValueError(f"{name} must be {expected}, got {value!r}")
+                if decode is not None and value is not None:
+                    value = decode(value)
+            values.append(value)
+        return cls(*values)
 
 
 def replace(record: _R, /, **changes: Any) -> _R:

@@ -20,7 +20,7 @@ from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
-from ._record import Record, replace
+from ._record import Record, _as_utc, _iso_seconds, _parse_ts, replace
 from .errors import NotFoundError, PreconditionError, StorageError, ValidationError
 from .store import _SEGMENT_RE, FileStore, StoreKey, dumps_doc, loads_doc
 
@@ -95,25 +95,6 @@ def _now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-def _as_utc(ts: datetime) -> datetime:
-    """``ts``, read as UTC when it names no zone."""
-    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
-
-
-def _iso_seconds(ts: datetime) -> str:
-    return _iso_micro(ts)[:19] + "Z"
-
-
-def _iso_micro(ts: datetime) -> str:
-    # Log records keep full precision: their append-only keys are derived
-    # from this timestamp and must stay unique and faithful to the body.
-    return _as_utc(ts).astimezone(timezone.utc).isoformat(timespec="microseconds")[:-6] + "Z"
-
-
-def _parse_ts(text: str) -> datetime:
-    return _as_utc(datetime.fromisoformat(text.replace("Z", "+00:00")))
-
-
 class ModelRegistration(Record):
     """A deployed model known to the monitoring service."""
 
@@ -122,11 +103,8 @@ class ModelRegistration(Record):
     created_at: datetime
 
     def to_doc(self) -> dict[str, Any]:
-        return {
-            "created_at": _iso_seconds(self.created_at),
-            "description": self.description,
-            "model_id": self.model_id,
-        }
+        # Registered to the second, unlike a log's microseconds.
+        return {**super().to_doc(), "created_at": _iso_seconds(self.created_at)}
 
 
 class MonitorConfig(Record):
@@ -172,25 +150,19 @@ class MonitorConfig(Record):
                     raise ValidationError(f"a performance monitor takes no {name}")
 
     def to_doc(self) -> dict[str, Any]:
-        drift = self.kind is MonitorKind.DRIFT
-        return {
-            "kind": self.kind.value,
-            "model_id": self.model_id,
-            "monitor_id": self.monitor_id,
-            "parameters": {name: getattr(self, name) for name in _RESOLUTION_DEFAULTS if drift},
-            "quantities": list(self.quantities),
-        }
+        # The resolution fields are stored in one ``parameters`` object,
+        # left empty by a performance monitor.
+        doc = super().to_doc()
+        parameters = {name: doc.pop(name) for name in _RESOLUTION_DEFAULTS}
+        doc["parameters"] = parameters if self.kind is MonitorKind.DRIFT else {}
+        return doc
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "MonitorConfig":
-        params = doc.get("parameters") or {}
-        return cls(
-            monitor_id=doc["monitor_id"],
-            model_id=doc["model_id"],
-            kind=MonitorKind(doc["kind"]),
-            quantities=tuple(doc.get("quantities") or ()),
-            **{name: params.get(name, default) for name, default in _RESOLUTION_DEFAULTS.items()},
-        )
+        parameters = doc.get("parameters", {})
+        if parameters.__class__ is not dict or parameters.keys() - _RESOLUTION_DEFAULTS.keys():
+            raise ValueError(f"parameters must be an object of {list(_RESOLUTION_DEFAULTS)}")
+        return super().from_doc({**doc, **_RESOLUTION_DEFAULTS, **parameters})
 
 
 class MetricRecord(Record):
@@ -202,37 +174,6 @@ class MetricRecord(Record):
     quantity: str
     metrics: dict[str, float]
     context: dict[str, Any]
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "context": dict(self.context),
-            "eval_date": self.eval_date.isoformat(),
-            "metrics": dict(self.metrics),
-            "model_id": self.model_id,
-            "monitor_id": self.monitor_id,
-            "quantity": self.quantity,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "MetricRecord":
-        # Queries sort records by quantity, so a non-string one would fail
-        # there, outside the document's key.
-        for name in ("model_id", "monitor_id", "quantity"):
-            if not isinstance(doc[name], str):
-                raise ValueError(f"{name} must be a string, got {doc[name]!r}")
-        metrics = {k: float(v) for k, v in doc["metrics"].items()}
-        # ``json`` reads an overflowing literal such as 1e400 as infinity.
-        for name, value in metrics.items():
-            if not math.isfinite(value):
-                raise ValueError(f"metric {name!r} is not finite: {value!r}")
-        return cls(
-            model_id=doc["model_id"],
-            monitor_id=doc["monitor_id"],
-            eval_date=date.fromisoformat(doc["eval_date"]),
-            quantity=doc["quantity"],
-            metrics=metrics,
-            context=dict(doc["context"]),
-        )
 
 
 class ReactionConfig(Record):
@@ -278,46 +219,6 @@ class ReactionConfig(Record):
             if self.sample_size is None or self.sample_size < 2:
                 raise ValidationError("a report reaction needs sample_size >= 2")
 
-    def to_doc(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "kind": self.kind.value,
-            "model_id": self.model_id,
-            "monitor_id": self.monitor_id,
-            "reaction_id": self.reaction_id,
-        }
-        if self.kind is ReactionKind.THRESHOLD:
-            doc["comparator"] = self.comparator
-            doc["metric_name"] = self.metric_name
-            doc["threshold"] = float(self.threshold)
-        else:
-            doc["date_from"] = self.date_from.isoformat()
-            doc["date_to"] = self.date_to.isoformat()
-            doc["sample_size"] = self.sample_size
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "ReactionConfig":
-        kind = ReactionKind(doc["kind"])
-        if kind is ReactionKind.THRESHOLD:
-            return cls(
-                reaction_id=doc["reaction_id"],
-                model_id=doc["model_id"],
-                kind=kind,
-                monitor_id=doc["monitor_id"],
-                metric_name=doc["metric_name"],
-                comparator=doc["comparator"],
-                threshold=float(doc["threshold"]),
-            )
-        return cls(
-            reaction_id=doc["reaction_id"],
-            model_id=doc["model_id"],
-            kind=kind,
-            monitor_id=doc["monitor_id"],
-            date_from=date.fromisoformat(doc["date_from"]),
-            date_to=date.fromisoformat(doc["date_to"]),
-            sample_size=int(doc["sample_size"]),
-        )
-
 
 class LogRecord(Record):
     """The outcome of one reaction run."""
@@ -327,26 +228,6 @@ class LogRecord(Record):
     created_at: datetime
     severity: Severity
     body: dict[str, Any]
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "body": dict(self.body),
-            "created_at": _iso_micro(self.created_at),
-            "model_id": self.model_id,
-            "reaction_id": self.reaction_id,
-            "severity": self.severity.value,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "LogRecord":
-        return cls(
-            model_id=doc["model_id"],
-            reaction_id=doc["reaction_id"],
-            # Held in UTC, so rendering it cannot overflow outside ``_load``.
-            created_at=_parse_ts(doc["created_at"]).astimezone(timezone.utc),
-            severity=Severity(doc["severity"]),
-            body=dict(doc["body"]),
-        )
 
 
 def stride_sample(points: list, sample_size: int) -> list:
@@ -528,6 +409,10 @@ class MonitoringService:
             if baseline is None:
                 raise PreconditionError(
                     f"no baseline for quantity {quantity!r}; run snapshot-baseline first"
+                )
+            if baseline.label != quantity:
+                raise StorageError(
+                    f"corrupt document {key}: label {baseline.label!r} is not its quantity"
                 )
             baselines[quantity] = baseline
         computed_at = _iso_seconds(_now())

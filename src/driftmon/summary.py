@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Mapping
 
 from ._record import Record
 from .errors import EmptySummaryError, ValidationError
@@ -74,23 +73,6 @@ class ApproxCdf(Record):
         frac = (x - bps[j]) / (bps[hi] - bps[j])
         value = q[j] + (q[hi] - q[j]) * frac
         return value, value
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "breakpoints": list(self.breakpoints),
-            "label": self.label,
-            "probabilities": list(self.probabilities),
-            "sample_count": self.sample_count,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "ApproxCdf":
-        return cls(
-            label=doc["label"],
-            sample_count=int(doc["sample_count"]),
-            breakpoints=tuple(float(b) for b in doc["breakpoints"]),
-            probabilities=tuple(float(p) for p in doc["probabilities"]),
-        )
 
 
 def build_cdf(sketch: QuantileSketch, points: int, label: str) -> ApproxCdf:

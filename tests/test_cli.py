@@ -342,6 +342,89 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "not an ISO date" in err
 
+    def test_baseline_under_another_quantitys_key_is_an_io_error(self, workspace, cli) -> None:
+        store, data = workspace
+        key = "model/m1/monitor/d1/baseline/f1"
+        baselines = Path(store, "model/m1/monitor/d1/baseline")
+        shutil.copyfile(baselines / "prediction.json", baselines / "f1.json")
+        code, out, err = cli(
+            "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--date", "2022-03-21", "--data", str(data / "inference.csv"),
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert f"corrupt document {key}" in err
+        assert "Traceback" not in err
+
+
+#: Stored fields of the wrong JSON type, each of which an older decoder
+#: coerced into a value: (document, field, stored value, command that reads
+#: it, other fields set so that the coerced value would make a valid record).
+WRONG_TYPES = [
+    ("baseline", "sample_count", 7.9, "run-monitor", {}),
+    ("baseline", "breakpoints", "12", "run-monitor", {"probabilities": [0.5, 1.0]}),
+    ("baseline", "label", 5, "run-monitor", {}),
+    ("monitor", "quantities", "f1", "run-monitor", {}),
+    ("threshold", "threshold", True, "run-reaction", {}),
+    ("threshold", "threshold", "0.2", "run-reaction", {}),
+    ("threshold", "metric_name", 5, "run-reaction", {}),
+    ("report", "sample_size", 2.9, "run-reaction", {}),
+    ("metric", "metrics", {"ks_distance": "0.1"}, "get-metrics", {}),
+    ("metric", "context", [["n", 1]], "get-metrics", {}),
+    ("log", "body", [["a", 1]], "get-logs", {}),
+    # Dates in other ISO 8601 forms than ``YYYY-MM-DD``.
+    ("metric", "eval_date", "20220320", "get-metrics", {}),
+    ("report", "date_to", "2022-W12-1", "run-reaction", {}),
+]
+
+
+class TestWrongTypesInStoredDocuments:
+    @pytest.mark.parametrize(
+        "document,field,value,command,others",
+        WRONG_TYPES,
+        ids=[f"{doc}.{field}={value!r}" for doc, field, value, *_ in WRONG_TYPES],
+    )
+    def test_is_a_corrupt_document(
+        self, workspace, cli, document, field, value, command, others
+    ) -> None:
+        store, data = workspace
+        common = ("--store", store, "--model", "m1")
+        for step in [
+            ("set-reaction", *common, "--id", "threshold", "--kind", "threshold", "--monitor",
+             "d1", "--metric", "ks_distance", "--comparator", ">=", "--threshold", "0.0"),
+            ("set-reaction", *common, "--id", "report", "--kind", "report", "--monitor", "d1",
+             "--from", "2022-03-01", "--to", "2022-03-31", "--sample-size", "5"),
+            ("run-reaction", *common, "--reaction", "threshold", "--as-of", "2022-03-25"),
+        ]:
+            assert cli(*step)[0] == EXIT_OK
+        key = {
+            "baseline": "model/m1/monitor/d1/baseline/f1",
+            "monitor": "model/m1/monitor/d1",
+            "threshold": "model/m1/reaction/threshold",
+            "report": "model/m1/reaction/report",
+            "metric": "model/m1/monitor/d1/metrics/2022-03-20/f1",
+            "log": "model/m1/reaction/threshold/log",
+        }[document]
+        if document == "log":
+            (path,) = Path(store, key).glob("*.json")
+            key += "/" + path.stem
+        path = Path(store, key + ".json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert field in doc
+        doc.update({field: value, **others})
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = {
+            "run-monitor": ("--monitor", "d1", "--date", "2022-03-21", "--data",
+                            str(data / "inference.csv")),
+            "run-reaction": ("--reaction", document, "--as-of", "2022-03-25"),
+            "get-metrics": ("--monitor", "d1", "--from", "2022-03-20", "--to", "2022-03-20"),
+            "get-logs": ("--reaction", "threshold"),
+        }[command]
+        code, out, err = cli(command, *common, *argv)
+        assert (code, out) == (EXIT_IO, "")
+        assert f"corrupt document {key}" in err
+        assert field in err
+        assert "Traceback" not in err
+
 
 class TestNonUtf8DataFiles:
     """A latin-1 byte in a data file is a schema error naming the file,

@@ -3,8 +3,11 @@
 Small seeded inputs go through ``snapshot_baseline`` and the
 ``run_monitor`` of two drift monitors, one of them fine enough that no
 sketch compacts and one coarse enough that every sketch does, and of a
-performance monitor.  Every baseline and metric document, with its
-``computed_at`` timestamp masked, must hash to the digest recorded below.
+performance monitor; a threshold and a report reaction then run once
+each.  Every baseline and metric document, with its ``computed_at``
+timestamp masked, must hash to the digest recorded below, and so must
+the model, monitor, reaction and log documents, with ``created_at``
+masked.
 Input values come from ``random.Random``, whose stream is fixed across
 Python versions, and are written with a fixed number of decimals, so the
 inputs themselves do not move.  A change that alters a stored byte fails
@@ -25,6 +28,8 @@ from driftmon import (
     MonitorConfig,
     MonitorKind,
     MonitoringService,
+    ReactionConfig,
+    ReactionKind,
     StoreKey,
     open_dataset,
 )
@@ -74,7 +79,37 @@ GOLDEN = {
     ),
 }
 
+#: Documents the service writes from its arguments rather than from data;
+#: a log's key holds its creation time, so it is shown here as ``*``.
+GOLDEN_CONFIGS = {
+    "model/m1": (
+        "52d5cbe89d94c995f5d10805808b3af7a7e0403e51222da77937de59ed2f5398"
+    ),
+    "model/m1/monitor/d1": (
+        "1e21c8319e089d321ae59a5422831244fddfb0fbf56209e3f5ec35a7ffb4484f"
+    ),
+    "model/m1/monitor/d2": (
+        "a49d3bcaf3697c1cb3a241c199ee95ef7d0b52b91ce57dda5ed66e574a7d8f87"
+    ),
+    "model/m1/monitor/p1": (
+        "eb29451c18106076ca16ff4c0c442d051d8443829e4e1dfa91cb55676f74d830"
+    ),
+    "model/m1/reaction/alert": (
+        "8747cf93c192db813a662e2fd9af1bf124634aef654dc4ff4c47c356b6d1ec13"
+    ),
+    "model/m1/reaction/alert/log/*": (
+        "98748bd420791040b79b781c44f2c451fc189cadbbd3887df0046282452da251"
+    ),
+    "model/m1/reaction/report": (
+        "d7bba299392b9864dbf356926feed9b117ece3cb8963e61dacc0fc9114abd570"
+    ),
+    "model/m1/reaction/report/log/*": (
+        "e3604d71faa1074055062aefc692703127808858b57af2c2bd8627fe2b9002f9"
+    ),
+}
+
 _COMPUTED_AT = re.compile(r'"computed_at": "[^"]*"')
+_CREATED_AT = re.compile(r'"created_at": "[^"]*"')
 
 
 def _write_features(path: Path, rng: random.Random, day: date, rows: int, shift: float) -> Path:
@@ -104,7 +139,7 @@ def _write_sales(path: Path, rng: random.Random) -> Path:
     return path
 
 
-def _stored_digests(tmp_path: Path) -> dict[str, str]:
+def _populated_store(tmp_path: Path) -> FileStore:
     rng = random.Random(20220320)
     train = _write_features(tmp_path / "train.csv", rng, date(2022, 3, 6), 2000, 0.0)
     today = _write_features(tmp_path / "today.csv", rng, FORECAST, UNITS, 0.4)
@@ -132,18 +167,44 @@ def _stored_digests(tmp_path: Path) -> dict[str, str]:
         open_dataset(today, "daily_inference"),
         open_dataset(sales, "daily_sales"),
     )
+    service.set_reaction(
+        ReactionConfig("alert", "m1", ReactionKind.THRESHOLD, "d2", "ks_distance", ">=", 0.05)
+    )
+    service.set_reaction(
+        ReactionConfig(
+            "report", "m1", ReactionKind.REPORT, "p1",
+            date_from=date(2022, 3, 1), date_to=FORECAST, sample_size=5,
+        )
+    )
+    for reaction in ("alert", "report"):
+        service.run_reaction("m1", reaction, FORECAST)
+    return store
 
+
+def _stored_digests(tmp_path: Path) -> dict[str, str]:
+    """Digest of every document under ``model/m1``, itself included, with
+    its timestamps masked and a log's time in its key replaced by ``*``."""
+    store = _populated_store(tmp_path)
     digests = {}
     for key in store.list(StoreKey.of("model", "m1")):
-        if not {"baseline", "metrics"} & set(key.segments):
-            continue
         body = _COMPUTED_AT.sub('"computed_at": X', store.get(key))
-        digests[key.render()] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        body = _CREATED_AT.sub('"created_at": X', body)
+        name = key.render() if "log" not in key.segments else "/".join(key.segments[:-1]) + "/*"
+        digests[name] = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return digests
+
+
+def _check(digests: dict[str, str], golden: dict[str, str]) -> None:
+    assert sorted(digests) == sorted(golden), "stored document keys changed"
+    changed = [key for key in golden if digests[key] != golden[key]]
+    assert not changed, f"stored bytes changed for {changed}"
 
 
 def test_stored_documents_match_golden_digests(tmp_path: Path) -> None:
     digests = _stored_digests(tmp_path)
-    assert sorted(digests) == sorted(GOLDEN), "stored document keys changed"
-    changed = [key for key in GOLDEN if digests[key] != GOLDEN[key]]
-    assert not changed, f"stored bytes changed for {changed}"
+    _check({k: v for k, v in digests.items() if "/baseline/" in k or "/metrics/" in k}, GOLDEN)
+
+
+def test_configuration_and_log_documents_match_golden_digests(tmp_path: Path) -> None:
+    digests = _stored_digests(tmp_path)
+    _check({k: v for k, v in digests.items() if k not in GOLDEN}, GOLDEN_CONFIGS)

@@ -2,7 +2,8 @@
 
 Each record class is built by keyword and by position, with defaults for
 the fields left out, and then validated; records compare and hash by their
-fields, print every field, and refuse assignment.
+fields, print every field, and refuse assignment.  Every stored record
+reads back from its canonical document as the record it was written from.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from driftmon import (
     ApproxCdf,
@@ -27,6 +29,8 @@ from driftmon import (
     StoreKey,
     SynthSpec,
     ValidationError,
+    dumps_doc,
+    loads_doc,
 )
 
 CREATED = datetime(2022, 3, 20, 6, 0, tzinfo=timezone.utc)
@@ -164,3 +168,97 @@ def _hashable(record) -> bool:
     except TypeError:
         return False
     return True
+
+
+# -- documents ---------------------------------------------------------------
+
+_ids = st.from_regex(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,11}", fullmatch=True)
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | _reals | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_objects = st.dictionaries(st.text(max_size=8), _json, max_size=4)
+
+
+def _report(dates: tuple[date, date]) -> st.SearchStrategy:
+    first, last = sorted(dates)
+    return st.builds(
+        ReactionConfig,
+        reaction_id=_ids,
+        model_id=_ids,
+        kind=st.just(ReactionKind.REPORT),
+        monitor_id=_ids,
+        date_from=st.just(first),
+        date_to=st.just(last),
+        sample_size=st.integers(min_value=2, max_value=10_000),
+    )
+
+
+def _cdf(n: int) -> st.SearchStrategy:
+    inner = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    return st.builds(
+        ApproxCdf,
+        label=st.text(max_size=8),
+        sample_count=st.integers(min_value=1, max_value=2**40),
+        breakpoints=st.lists(_reals, min_size=n, max_size=n).map(sorted).map(tuple),
+        probabilities=st.lists(inner, min_size=n - 1, max_size=n - 1, unique=True).map(
+            lambda ps: (*sorted(ps), 1.0)
+        ),
+    )
+
+
+#: A strategy for each kind of stored record.
+STORED = {
+    "drift monitor": st.builds(
+        MonitorConfig,
+        monitor_id=_ids,
+        model_id=_ids,
+        kind=st.just(MonitorKind.DRIFT),
+        quantities=st.lists(_ids, min_size=1, max_size=4, unique=True).map(tuple),
+        epsilon=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+        cdf_points=st.integers(min_value=2, max_value=10_000),
+        density_bins=st.integers(min_value=1, max_value=10_000),
+    ),
+    "performance monitor": st.builds(
+        MonitorConfig, monitor_id=_ids, model_id=_ids, kind=st.just(MonitorKind.PERFORMANCE)
+    ),
+    "metric": st.builds(
+        MetricRecord,
+        model_id=_ids,
+        monitor_id=_ids,
+        eval_date=st.dates(),
+        quantity=st.text(max_size=8),
+        metrics=st.dictionaries(st.text(max_size=8), _reals, max_size=4),
+        context=_objects,
+    ),
+    "threshold reaction": st.builds(
+        ReactionConfig,
+        reaction_id=_ids,
+        model_id=_ids,
+        kind=st.just(ReactionKind.THRESHOLD),
+        monitor_id=_ids,
+        metric_name=st.text(min_size=1, max_size=8),
+        comparator=st.sampled_from(["<", "<=", ">", ">="]),
+        threshold=_reals,
+    ),
+    "report reaction": st.tuples(st.dates(), st.dates()).flatmap(_report),
+    "log": st.builds(
+        LogRecord,
+        model_id=_ids,
+        reaction_id=_ids,
+        created_at=st.datetimes(timezones=st.just(timezone.utc)),
+        severity=st.sampled_from(Severity),
+        body=_objects,
+    ),
+    "summary": st.integers(min_value=1, max_value=6).flatmap(_cdf),
+}
+
+
+@pytest.mark.parametrize("kind", list(STORED))
+@given(data=st.data())
+def test_every_stored_record_reads_back_from_its_document(kind: str, data) -> None:
+    record = data.draw(STORED[kind])
+    assert type(record).from_doc(loads_doc(dumps_doc(record.to_doc()))) == record
