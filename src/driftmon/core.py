@@ -301,7 +301,7 @@ class MonitoringService:
 
     def _require_model(self, model_id: str) -> None:
         _check_identifier("model_id", model_id)
-        if self.store.get(self._model_key(model_id)) is None:
+        if self._load(self._model_key(model_id), ModelRegistration.from_doc) is None:
             raise NotFoundError(f"model {model_id!r} is not registered")
 
     # -- monitors ----------------------------------------------------------

@@ -7,32 +7,42 @@ so a unit-day with no row means zero units sold that day.
 
 Every data file is read by one columnar block reader, ``_column_blocks``.
 It cuts the non-empty data rows into blocks of at most ``_BLOCK_ROWS`` and
-hands over one list of stripped cells per requested column, each built in
-one pass in C.  The callers parse a whole column of a block with
-``map(float, ...)`` and check it in one pass as well; only a block that
-fails that check is walked row by row, with the checks and messages of a
-row-by-row read, so the first bad row in file order is the one reported.
-Blocks carry no line numbers: the ``file:line`` of a bad row is resolved on
-the error path alone, by reading the file again up to that row (``_line``).
+hands over one list of cells per requested column, each built in C, in one
+of two lanes that read the same cells:
+
+- the split lane takes ``_BLOCK_ROWS`` raw lines at a time.  A block whose
+  lines are plain (no quote, lone CR or NUL, none past the field limit,
+  and the same number of commas, at least one, on every line) is one row
+  per line, so its text is split on commas and each column is a stride
+  slice of that one list;
+- the csv lane: from the first block that is not plain, ``csv.reader``
+  reads the rest of the file, quoted cells spanning lines included.
+
+Cells are handed over as the file spells them.  The callers strip the
+string columns they compare, and parse a whole numeric column of a block
+with ``map(float, ...)``, which skips surrounding whitespace, and check it
+in one pass as well; only a block that fails that check is walked row by
+row, stripped, with the checks and messages of a row-by-row read, so the
+first bad row in file order is the one reported.  Blocks carry no line
+numbers: the ``file:line`` of a bad row is resolved on the error path
+alone, by reading the file again up to that row (``_line``).
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from array import array
 from contextlib import contextmanager
 from datetime import date, timedelta
 from enum import Enum
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, truediv
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
 from ._record import Record
 from .errors import PreconditionError, SchemaError, StorageError, ValidationError
-from .performance import VELOCITY_WINDOW_DAYS
 
 __all__ = [
     "DatasetKind",
@@ -41,8 +51,6 @@ __all__ = [
     "read_columns",
     "assemble_velocity_pairs",
 ]
-
-log = logging.getLogger(__name__)
 
 _REQUIRED_COLUMNS = {
     "training": ("unit_id", "eval_date", "prediction"),
@@ -92,9 +100,12 @@ def open_dataset(path: Path | str, kind: DatasetKind | str) -> DatasetHandle:
     path = Path(path)
     try:
         with _open_text(path) as handle:
-            header = next(csv.reader(handle), None)
+            reader = csv.reader(handle)
+            header = next(reader, None)
     except OSError as exc:
         raise StorageError(f"cannot open dataset {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
     if not header:
         raise SchemaError(f"{path}: missing header row")
     missing = [c for c in _REQUIRED_COLUMNS[kind.value] if c not in header]
@@ -108,25 +119,70 @@ def _column_blocks(
 ) -> Iterator[tuple[int, list[list[str]]]]:
     """Yield ``(first, cells)`` for each block of non-empty data rows.
 
-    ``cells`` holds, per name in ``columns``, the stripped cells of that
-    column for up to ``_BLOCK_ROWS`` rows in file order, and ``first`` is
-    the ordinal of the block's first row among the non-empty data rows,
-    counting from 0.  A row too short to reach a column reads it as blank.
-    A header name that occurs twice resolves to its last occurrence.
+    ``cells`` holds, per name in ``columns``, the cells of that column for
+    up to ``_BLOCK_ROWS`` rows in file order, as the file spells them:
+    callers strip what they compare or report.  ``first`` is the ordinal of
+    the block's first row among the non-empty data rows, counting from 0.
+    A row too short to reach a column reads it as blank.  A header name
+    that occurs twice resolves to its last occurrence.  A cell past
+    ``csv.field_size_limit()`` is a ``SchemaError`` naming its file and
+    line, raised after the blocks before it.  The lanes are described in
+    the module docstring.
     """
     position = {name: i for i, name in enumerate(handle.columns)}
     picks = [position[column] for column in columns]
     width = max(picks, default=-1) + 1
+    limit = csv.field_size_limit()
     first = 0
     with _open_text(handle.path) as stream:
-        reader = csv.reader(stream)
-        next(reader, None)
+        header = csv.reader(stream)
+        next(header, None)
+        read = header.line_num  # physical lines before the next block
+        while lines := list(islice(stream, _BLOCK_ROWS)):
+            text = "".join(lines)
+            if "\r" in text:
+                text = text.replace("\r\n", "\n")
+            # csv reads the block as these lines split on commas if no cell
+            # is quoted, no line ends in a lone CR or holds a NUL, none is
+            # past the field limit, and every line has the same number of
+            # commas, at least one (so no line is empty), enough to reach
+            # every requested column.
+            if (
+                '"' in text
+                or "\r" in text
+                or "\x00" in text
+                or (len(text) > limit and max(map(len, lines)) > limit)
+            ):
+                break
+            commas = set(map(str.count, lines, repeat(",")))
+            if len(commas) != 1 or (cells := commas.pop() + 1) < max(width, 2):
+                break
+            n = len(lines)
+            flat = text.replace("\n", ",").split(",")
+            yield first, [flat[i : n * cells : cells] for i in picks]
+            first += n
+            read += n
+        else:
+            return
+        reader = csv.reader(chain(lines, stream))
         rows = filter(None, reader)
-        while chunk := list(islice(rows, _BLOCK_ROWS)):
+        fault = None
+        while fault is None:
+            chunk: list[list[str]] = []
+            try:
+                chunk.extend(islice(rows, _BLOCK_ROWS))
+            except csv.Error as exc:
+                # The rows before it go out first, so that a bad cell among
+                # them is reported before this: faults surface in file order.
+                fault = SchemaError(f"{handle.path}:{read + reader.line_num}: {exc}")
+            if not chunk:
+                break
             if min(map(len, chunk)) < width:
                 chunk = [row + [""] * (width - len(row)) for row in chunk]
-            yield first, [list(map(str.strip, map(itemgetter(i), chunk))) for i in picks]
+            yield first, [list(map(itemgetter(i), chunk)) for i in picks]
             first += len(chunk)
+        if fault is not None:
+            raise fault
 
 
 def _line(handle: DatasetHandle, row: int) -> int:
@@ -209,14 +265,18 @@ def _blocks(handle: DatasetHandle, columns: tuple[str, ...]) -> Iterator[tuple[l
                 block[i] = []
             for row, picked in enumerate(zip(*(cells[i] for i in slow)), first):
                 for i, cell in zip(slow, picked):
-                    if cell:
+                    if cell := cell.strip():
                         block[i].append(_number(handle, row, columns[i], cell))
                     else:
                         blanks[i] += 1
         yield tuple(block)
     for column, count in zip(columns, blanks):
         if count:
-            log.warning("%s: skipped %d blank cell(s) in column %r", handle.path, count, column)
+            import logging  # only here: a file without blanks never loads it
+
+            logging.getLogger(__name__).warning(
+                "%s: skipped %d blank cell(s) in column %r", handle.path, count, column
+            )
 
 
 def assemble_velocity_pairs(
@@ -235,6 +295,8 @@ def assemble_velocity_pairs(
     Duplicate prediction rows for a unit keep the last one.  Every velocity
     is finite and non-negative: ``_number`` rejects any other cell.
     """
+    from .performance import VELOCITY_WINDOW_DAYS
+
     if predictions.kind is DatasetKind.DAILY_SALES:
         raise ValidationError("predictions handle must be a training or daily_inference dataset")
     if sales.kind is not DatasetKind.DAILY_SALES:
@@ -256,6 +318,8 @@ def assemble_velocity_pairs(
         predictions, ("eval_date", "unit_id", "prediction")
     ):
         rows: Sequence[int] = range(first, first + len(dates))
+        dates = list(map(str.strip, dates))
+        units = list(map(str.strip, units))
         if dates.count(target) != len(dates):
             keep = [k for k, day in enumerate(dates) if day == target]
             if not keep:
@@ -270,6 +334,7 @@ def assemble_velocity_pairs(
             for row, unit, cell in zip(rows, units, cells):
                 if not unit:
                     raise _error(predictions, row, "missing unit_id")
+                cell = cell.strip()
                 values.append(
                     _number(predictions, row, "prediction", cell, non_negative=True)
                     if cell
@@ -284,14 +349,33 @@ def assemble_velocity_pairs(
     # or goes.
     index.update(zip(index, range(len(predicted))))
 
-    # One buffer of sales sums per window day, one slot per scored unit.
-    # Sales of other units are still checked, so a bad cell in the window
-    # fails wherever it sits, but not kept; a cell outside the window is
-    # never read.
-    sold = [array("d", [0.0]) * len(predicted) for _ in window]
+    # Per window day, the in-window sales of scored units, summed in file
+    # order.  A day keeps them as flat rows (the unit's position in
+    # ``predicted`` and the units sold, 12 bytes a row, in ``_mapped``
+    # memory) while they number at most a quarter of the scored units: 3
+    # bytes a unit against the 8 of a buffer of one sum per scored unit,
+    # so a sparse window holds little beside the index.  A day with more
+    # rows sums them into its buffer and adds to that from then on, so
+    # however many rows repeat a unit-day, a day holds at most its buffer
+    # and, while it sums them, its flat rows.  Sales of other units are
+    # still checked, so a bad cell in the window fails wherever it sits,
+    # but not kept; a cell outside the window is never read.
+    n = len(predicted)
+    dense = n // 4
+    room = dense + _BLOCK_ROWS  # a block adds at most _BLOCK_ROWS rows
+    slots = [_mapped("i", room) for _ in window]
+    amounts = [_mapped("d", room) for _ in window]
+    held = [0 for _ in window]
+    sold: list[array | None] = [None for _ in window]
+
+    def fold(day: int) -> None:
+        sold[day] = _sums(slots[day][: held[day]], amounts[day][: held[day]], n)
+        slots[day] = amounts[day] = _NOTHING  # closes the day's maps
+
     dates_seen: set[str] = set()
     position = index.get
     for first, (dates, units, cells) in _column_blocks(sales, ("date", "unit_id", "units")):
+        dates = list(map(str.strip, dates))
         offsets = list(map(window.get, dates))
         values = _floats(cells, non_negative=True) if all(dates) else None
         if values is None:
@@ -301,16 +385,34 @@ def assemble_velocity_pairs(
                 if not day:
                     raise _error(sales, row, "missing date")
                 values.append(
-                    None if offset is None else _number(sales, row, "units", cell, non_negative=True)
+                    None
+                    if offset is None
+                    else _number(sales, row, "units", cell.strip(), non_negative=True)
                 )
         dates_seen.update(dates)
-        for unit, offset, value in zip(units, offsets, values):
-            if offset is not None:
-                i = position(unit)
-                if i is not None:
-                    sold[offset][i] += value
+        at = list(map(position, map(str.strip, units)))
+        # A sale of zero, checked, is not kept: a sum starts at 0.0 and
+        # holds no negative value, so adding a zero leaves its bits as they are.
+        if None in at or None in offsets or 0.0 in values:
+            kept = [
+                i is not None and offset is not None and value != 0.0
+                for i, offset, value in zip(at, offsets, values)
+            ]
+            at, offsets, values = (compress(column, kept) for column in (at, offsets, values))
+        for i, day, value in zip(at, offsets, values):
+            sums = sold[day]
+            if sums is None:
+                k = held[day]
+                slots[day][k] = i
+                amounts[day][k] = value
+                held[day] = k + 1
+            else:
+                sums[i] += value
+        for day in range(len(window)):
+            if sold[day] is None and held[day] > dense:
+                fold(day)
     # The index is the largest buffer; drop it, and the bound method that
-    # keeps it alive, before the velocities grow.
+    # keeps it alive, before the remaining day sums grow.
     del index, position
 
     missing_days = [d for d in window if d not in dates_seen]
@@ -320,5 +422,33 @@ def assemble_velocity_pairs(
             f"the {VELOCITY_WINDOW_DAYS}-day window from {target} is incomplete"
         )
 
-    actual = array("d", [math.fsum(week) / VELOCITY_WINDOW_DAYS for week in zip(*sold)])
+    for day in range(len(window)):
+        if sold[day] is None:
+            fold(day)
+    actual = array("d", map(truediv, map(math.fsum, zip(*sold)), repeat(VELOCITY_WINDOW_DAYS)))
     return predicted, actual, len(blank)
+
+
+#: Stands in for a summed day's flat rows, so nothing keeps their maps open.
+_NOTHING = memoryview(b"")
+
+
+def _mapped(typecode: str, size: int) -> memoryview:
+    """``size`` zeroed items of ``typecode`` in an anonymous memory map.
+
+    Its pages count towards the process only once written, and go back to
+    the system when the last view is dropped.  Freed heap memory often
+    stays with the process instead, so flat rows summed into a day's
+    buffer would leave their room behind beside it.
+    """
+    import mmap  # only a forecast join keeps flat rows
+
+    return memoryview(mmap.mmap(-1, size * array(typecode).itemsize)).cast(typecode)
+
+
+def _sums(slots: Sequence[int], amounts: Sequence[float], n: int) -> array:
+    """Sum ``amounts`` into ``n`` slots, each in the order given, from 0.0."""
+    sums = array("d", [0.0]) * n
+    for i, value in zip(slots, amounts):
+        sums[i] += value
+    return sums

@@ -34,9 +34,10 @@ Proof of the bound.  Let ``R(x)`` count the observations ``<= x`` and
    kept apart from the levels.
 
 Memory: by step 2, level 0 holds fewer than ``k`` values and every other
-level none or ``k / 2``, so fewer than ``k * (1 + H / 2)`` doubles, and a
-query's sorted view takes 16 bytes more per held value.  At epsilon 0.001,
-``k`` is 10000, and 1e5 observations are held in fewer than 30000 doubles.
+level none or ``k / 2``, the output of one compaction and so one sorted
+run.  That is fewer than ``k * (1 + H / 2)`` doubles, and a query's sorted
+view takes 16 bytes more per held value.  At epsilon 0.001, ``k`` is
+10000, and 1e5 observations are held in fewer than 30000 doubles.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from itertools import accumulate, chain, repeat
+from heapq import merge
+from itertools import repeat
 
 from .errors import EmptySummaryError, ValidationError
 
@@ -187,12 +189,18 @@ class QuantileSketch:
         """``query`` for each of ``ps``, probabilities in [0, 1], from one
         sorted view of the weighted levels (step 5 of the proof)."""
         if self._view is None:
-            weights = (zip(level, repeat(1 << h)) for h, level in enumerate(self._levels))
-            weighted = sorted(chain.from_iterable(weights))
-            self._view = (
-                array("d", [v for v, _ in weighted]),
-                array("q", accumulate(w for _, w in weighted)),
-            )
+            # Every level above 0 is one sorted run (see "Memory" above), so
+            # sorting level 0 alone and merging the runs yields the held
+            # values in order, equal ones lightest first, with no list of
+            # (value, weight) pairs held.
+            runs = [sorted(self._levels[0]), *self._levels[1:]]
+            values, cumulative = array("d"), array("q")
+            held = 0
+            for value, weight in merge(*(zip(run, repeat(1 << h)) for h, run in enumerate(runs))):
+                held += weight
+                values.append(value)
+                cumulative.append(held)
+            self._view = (values, cumulative)
         values, cumulative = self._view
         n = self._count
         answers = []

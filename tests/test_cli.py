@@ -201,6 +201,19 @@ class TestExitCodes:
         assert key in err
         assert "Traceback" not in err
 
+    def test_truncated_model_document_is_an_io_error(self, workspace, cli) -> None:
+        """A monitor is stored only under a model whose document decodes."""
+        store, _ = workspace
+        Path(store, "model/m1.json").write_text('{"created_at": 5', encoding="utf-8")
+        code, out, err = cli(
+            "set-monitor", "--store", store, "--model", "m1", "--id", "p1",
+            "--kind", "performance",
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert "corrupt document model/m1" in err
+        assert "Traceback" not in err
+        assert not Path(store, "model/m1/monitor/p1.json").exists()
+
     def test_monitor_document_without_id_is_an_io_error(self, workspace, cli) -> None:
         store, data = workspace
         key = "model/m1/monitor/d1"
@@ -426,53 +439,90 @@ class TestWrongTypesInStoredDocuments:
         assert "Traceback" not in err
 
 
+@pytest.fixture
+def monitored(tmp_path: Path, cli):
+    """A drift monitor with a baseline and a performance monitor, over
+    600 synth units; no run yet."""
+    store = str(tmp_path / "store")
+    data = tmp_path / "data"
+    # 600 units put every file, sales too, well past 8 KiB.
+    assert cli("synth", "--out", str(data), "--units", "600", "--seed", "5")[0] == EXIT_OK
+    steps = [
+        ("register-model", "--store", store, "--id", "m1"),
+        (
+            "set-monitor", "--store", store, "--model", "m1", "--id", "d1",
+            "--kind", "drift", "--quantities", "f1,prediction",
+        ),
+        ("set-monitor", "--store", store, "--model", "m1", "--id", "p1", "--kind", "performance"),
+        (
+            "snapshot-baseline", "--store", store, "--model", "m1",
+            "--monitor", "d1", "--data", str(data / "training.csv"),
+        ),
+    ]
+    for step in steps:
+        code, _, err = cli(*step)
+        assert code == EXIT_OK, err
+    return store, data
+
+
+#: The data file that each ``read_in`` case reads, or corrupts.
+READ_BY = {
+    "snapshot": "training", "drift": "inference", "predictions": "inference", "sales": "sales"
+}
+
+
+def read_in(cli, monitored, case: str) -> tuple[int, str, str]:
+    """Run the command of ``case`` over the ``monitored`` files: a snapshot
+    of the training file, a drift run, or a performance run (which reads
+    both the predictions and the sales)."""
+    store, data = monitored
+    base = ("--store", store, "--model", "m1")
+    run = ("run-monitor", *base, "--date", "2022-03-20")
+    predictions, sales = str(data / "inference.csv"), str(data / "sales.csv")
+    training = str(data / "training.csv")
+    return cli(*{
+        "snapshot": ("snapshot-baseline", *base, "--monitor", "d1", "--data", training),
+        "drift": (*run, "--monitor", "d1", "--data", predictions),
+        "predictions": (*run, "--monitor", "p1", "--data", predictions, "--sales", sales),
+        "sales": (*run, "--monitor", "p1", "--data", predictions, "--sales", sales),
+    }[case])
+
+
+class TestOversizedCells:
+    """A cell past ``csv.field_size_limit()`` is a schema error naming the
+    file and line, wherever it sits and whichever columns a run reads."""
+
+    @pytest.mark.parametrize("line", [1, 2, 401])
+    @pytest.mark.parametrize("case", ["snapshot", "drift", "predictions", "sales"])
+    def test_exits_one_naming_the_file_and_line(
+        self, monitored, cli, case: str, line: int
+    ) -> None:
+        bad = monitored[1] / f"{READ_BY[case]}.csv"
+        lines = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[line - 1].split(",")
+        cells[1 if case == "sales" else 3] = "9" * 200_000
+        lines[line - 1] = ",".join(cells)
+        bad.write_text("".join(lines), encoding="utf-8")
+        code, out, err = read_in(cli, monitored, case)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert f"{bad}:{line}: field larger than field limit (131072)" in err
+        assert "Traceback" not in err
+
+
 class TestNonUtf8DataFiles:
     """A latin-1 byte in a data file is a schema error naming the file,
     whether it sits in the header or past the first 8 KiB read."""
 
-    @pytest.fixture
-    def monitored(self, tmp_path: Path, cli):
-        store = str(tmp_path / "store")
-        data = tmp_path / "data"
-        # 600 units put every file, sales too, well past 8 KiB.
-        assert cli("synth", "--out", str(data), "--units", "600", "--seed", "5")[0] == EXIT_OK
-        steps = [
-            ("register-model", "--store", store, "--id", "m1"),
-            (
-                "set-monitor", "--store", store, "--model", "m1", "--id", "d1",
-                "--kind", "drift", "--quantities", "f1,prediction",
-            ),
-            ("set-monitor", "--store", store, "--model", "m1", "--id", "p1", "--kind", "performance"),
-            (
-                "snapshot-baseline", "--store", store, "--model", "m1",
-                "--monitor", "d1", "--data", str(data / "training.csv"),
-            ),
-        ]
-        for step in steps:
-            code, _, err = cli(*step)
-            assert code == EXIT_OK, err
-        return store, data
-
     @pytest.mark.parametrize("offset", [0, 9000])
     @pytest.mark.parametrize("case", ["snapshot", "drift", "predictions", "sales"])
     def test_exits_one_naming_the_file(self, monitored, cli, case: str, offset: int) -> None:
-        store, data = monitored
-        name = {"snapshot": "training", "drift": "inference", "predictions": "inference"}
-        bad = data / f"{name.get(case, case)}.csv"
+        bad = monitored[1] / f"{READ_BY[case]}.csv"
         raw = bytearray(bad.read_bytes())
         assert len(raw) > 9000
         # The first byte of the header, or of the first line starting past ``offset``.
         raw[raw.index(b"\n", offset) + 1 if offset else 0] = 0xE9
         bad.write_bytes(raw)
-        base = ("--store", store, "--model", "m1")
-        run = ("run-monitor", *base, "--date", "2022-03-20")
-        predictions, sales = str(data / "inference.csv"), str(data / "sales.csv")
-        code, out, err = cli(*{
-            "snapshot": ("snapshot-baseline", *base, "--monitor", "d1", "--data", str(bad)),
-            "drift": (*run, "--monitor", "d1", "--data", str(bad)),
-            "predictions": (*run, "--monitor", "p1", "--data", predictions, "--sales", sales),
-            "sales": (*run, "--monitor", "p1", "--data", predictions, "--sales", sales),
-        }[case])
+        code, out, err = read_in(cli, monitored, case)
         assert (code, out) == (EXIT_DOMAIN, "")
         assert f"{bad}: not UTF-8 text" in err
         assert "Traceback" not in err

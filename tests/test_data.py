@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from driftmon import (
     DatasetKind,
@@ -318,6 +318,73 @@ class TestAssembleVelocityPairs:
             tracemalloc.stop()
         assert len(result[0]) == n
         assert (held - base) / n <= 32, f"result holds {(held - base) / n:.1f} B/unit"
+        assert (peak - base) / n <= 270, f"call peaks at {(peak - base) / n:.1f} B/unit"
+
+    @pytest.mark.parametrize("block_rows", [1, 16, 256])
+    def test_days_that_outgrow_flat_rows_keep_file_order_sums(
+        self, tmp_path: Path, block_rows: int
+    ) -> None:
+        """A day with more rows than a quarter of the scored units moves to
+        a dense buffer partway through the file; every day still sums its
+        unit's sales in file order, zeros included, from 0.0, as a plain
+        loop does."""
+        rng = random.Random(3)
+        units = [f"u{i}" for i in range(40)]
+        lines = [
+            f"{rng.choice(units[:4])},{day},{rng.uniform(0, 10.0 ** rng.randint(-3, 6))!r}"
+            for day in self.WINDOW[1:]
+            for _ in range(48)
+        ]
+        # The first day stays flat: 9 rows, under 40 // 4.
+        lines += [
+            f"{rng.choice(units[:3])},{self.WINDOW[0]},{rng.uniform(0, 1e3)!r}" for _ in range(9)
+        ]
+        # Zero sales, of either sign, are checked but add nothing.
+        lines += [
+            f"{unit},{day},{zero}"
+            for unit in units[::5]
+            for day in self.WINDOW
+            for zero in ("0", "-0.0")
+        ]
+        rng.shuffle(lines)
+        pred, sales = self.handles(
+            tmp_path,
+            PREDICTION_HEADER + "".join(f"{unit},2022-03-20,1.0,0.0\n" for unit in units),
+            SALES_HEADER + "\n".join(lines) + "\n",
+        )
+        sums = {(unit, day): 0.0 for unit in units for day in self.WINDOW}
+        for line in lines:
+            unit, day, value = line.split(",")
+            sums[unit, day] += float(value)
+        expected = [math.fsum(sums[unit, day] for day in self.WINDOW) / 7 for unit in units]
+        with mock.patch("driftmon.data._BLOCK_ROWS", block_rows):
+            _, actual, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
+        assert [v.hex() for v in actual] == [v.hex() for v in expected]
+
+    def test_repeated_unit_day_rows_do_not_grow_the_peak(self, tmp_path: Path) -> None:
+        """A sales file that lists every unit-day three times peaks within
+        the bound of a sparse one: each window day holds at most its dense
+        buffer, whatever its row count."""
+        n = 5_000
+        _, inference, _ = generate_synthetic(SynthSpec(n_units=n, seed=5), tmp_path)
+        units = [f"u{i:04d}" for i in range(1, n + 1)]
+        days = [(synth.PRODUCTION_DATE + timedelta(days=i)).isoformat() for i in range(7)]
+        sales = open_dataset(
+            write_csv(
+                tmp_path / "repeated.csv",
+                SALES_HEADER + "".join(f"{u},{d},1\n" * 3 for u in units for d in days),
+            ),
+            "daily_sales",
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, actual, _ = assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(actual) == {3.0}
         assert (peak - base) / n <= 270, f"call peaks at {(peak - base) / n:.1f} B/unit"
 
     def test_missing_window_day_is_a_precondition_error(self, tmp_path: Path) -> None:
@@ -647,6 +714,202 @@ class TestColumnarReadsMatchTheRowReader:
             with mock.patch("driftmon.data._BLOCK_ROWS", block_rows):
                 got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
         assert bits(got) == bits(expected)
+
+
+#: Cells the split lane reads: padded ones included, since ``float`` skips
+#: the whitespace it would strip, and ``\x1c`` is whitespace to ``strip``
+#: that ``float`` refuses.
+PLAIN_CELLS = ["0", "1.5", "2", "1e2", "-0.0", " 3.25 ", "\t5", "\x1c4\x1c", "1_0", ""]
+#: Cells that send the rest of a file to the csv lane: quoted ones, and one
+#: that puts its line, but no cell, past ``FIELD_LIMIT``.
+SWITCH_CELLS = ['"4.5"', '"1,5"', '"\n6.0"', '" 7\r\n"', '"2\r8"', "1" * 30]
+#: Cells that fail in either lane, or read blank only once stripped: a NUL
+#: byte, a cell past ``FIELD_LIMIT``, and bad, negative and non-finite ones.
+ODD_CELLS = ["1\x005", "8" * 60, "abc", "-1.0", "inf", " "]
+#: ``csv.field_size_limit`` while a drawn file is read; no plain line,
+#: over-wide ones included, is longer.
+FIELD_LIMIT = 40
+
+
+@st.composite
+def lane_text(draw, header: str, cells: list[st.SearchStrategy[str]], extra: list[str]) -> str:
+    """A CSV file of mostly plain rows, with the odd blank, short or
+    over-wide row, line ending in a lone CR or another newline, and
+    byte-order mark; ``cells`` draws the odd quoted, NUL or oversized cell."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    size = draw(st.integers(0, 40))
+    rows = []
+    for row, shape, cut in draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*cells),
+                st.sampled_from(["full"] * 20 + ["blank", "short", "wide"]),
+                st.integers(1, len(cells) - 1),
+            ),
+            min_size=size,
+            max_size=size,
+        )
+    ):
+        if shape == "wide":
+            row += ("9", "u1")
+        rows.append("" if shape == "blank" else ",".join(row[:cut] if shape == "short" else row))
+    rows = draw(st.permutations(rows + extra))
+    ends = draw(
+        st.lists(
+            st.sampled_from([newline] * 30 + ["\r", "\n", "\r\n"]),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    text = header + newline + "".join(row + end for row, end in zip(rows, ends))
+    if rows and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def lane_numbers(odd: bool) -> st.SearchStrategy[str]:
+    return st.sampled_from(PLAIN_CELLS * 12 + SWITCH_CELLS + (ODD_CELLS if odd else []))
+
+
+def as_raised(result, *paths: Path):
+    """A reference ``outcome`` with its ``csv.Error`` as the ``SchemaError``
+    the library raises for it: the first of ``paths`` that ``csv`` cannot
+    read, with the line it stops on."""
+    if result[0] is not csv.Error:
+        return result
+    for path in paths:
+        with path.open(newline="", encoding="utf-8") as stream:
+            reader = csv.reader(stream)
+            try:
+                for _ in reader:
+                    pass
+            except csv.Error as exc:
+                return SchemaError, f"{path}:{reader.line_num}: {exc}"
+    raise AssertionError("csv read every file")
+
+
+@contextmanager
+def field_limit(limit: int):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+#: A failing drawn file takes minutes to shrink, against seconds for a
+#: passing run, so the lane properties report a failure as drawn.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
+class TestSplitLaneMatchesTheCsvReader:
+    """Both lanes of the block reader against the ``csv.reader`` reference,
+    on drawn files whose blocks go from the split lane to the csv lane at
+    drawn places: quoted cells holding commas, CRs or newlines, lines
+    ending in a lone CR, NUL bytes, blank, short and over-wide rows, padded
+    cells, a byte-order mark and cells past the field limit."""
+
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+    @given(
+        block_rows=st.sampled_from([1, 2, 3, 5, _BLOCK_ROWS]),
+        odd=st.booleans(),
+        columns=st.sampled_from([("f1",), ("prediction", "f1"), ("f1", "prediction", "f1")]),
+        drawn=st.data(),
+    )
+    def test_read_columns(self, block_rows, odd, columns, drawn) -> None:
+        text = drawn.draw(
+            lane_text(
+                PREDICTION_HEADER.rstrip("\n"),
+                [st.sampled_from(UNITS), st.just(TARGET), lane_numbers(odd), lane_numbers(odd)],
+                [],
+            )
+        )
+        with tempfile.TemporaryDirectory() as folder, field_limit(FIELD_LIMIT):
+            path = Path(folder) / "t.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            handle = open_dataset(path, "training")
+            with warnings_of("driftmon.data") as expected_log:
+                expected = outcome(lambda: list(reference_blocks(handle, columns, block_rows)))
+            if expected[0] is csv.Error:
+                # The first fault in file order, as a row-by-row read meets it.
+                expected = as_raised(
+                    outcome(lambda: list(reference_blocks(handle, columns, 1))), path
+                )
+            with warnings_of("driftmon.data") as log, mock.patch(
+                "driftmon.data._BLOCK_ROWS", block_rows
+            ):
+                got = outcome(lambda: list(read_columns(handle, columns)))
+        assert bits(got) == bits(expected)
+        assert log == expected_log
+
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+    @given(
+        block_rows=st.sampled_from([1, 2, 3, 5, _BLOCK_ROWS]),
+        odd=st.booleans(),
+        drawn=st.data(),
+    )
+    def test_assemble_velocity_pairs(self, block_rows, odd, drawn) -> None:
+        units = st.sampled_from(
+            UNITS * 3 + ['"u,8"', " u2\t"] + (["", '"u1\r"', "u\x001"] if odd else [])
+        )
+        pred_text = drawn.draw(
+            lane_text(
+                PREDICTION_HEADER.rstrip("\n"),
+                [
+                    units,
+                    st.sampled_from([TARGET] * 12 + ["2022-03-19", "", f" {TARGET} "]),
+                    lane_numbers(odd),
+                    lane_numbers(True),
+                ],
+                [],
+            )
+        )
+        sales_text = drawn.draw(
+            lane_text(
+                SALES_HEADER.rstrip("\n"),
+                [
+                    units,
+                    st.sampled_from(WINDOW_DAYS * 12 + [f"{TARGET}\t"] + ([""] if odd else [])),
+                    lane_numbers(odd),
+                ],
+                [f"filler,{day},0" for day in WINDOW_DAYS]
+                + ["u1,2022-03-19,abc", "u2,2022-03-27,-5", "u3,x,inf", "u4,2022-03-27,"],
+            )
+        )
+        with tempfile.TemporaryDirectory() as folder, field_limit(FIELD_LIMIT):
+            pred_path, sales_path = Path(folder) / "pred.csv", Path(folder) / "sales.csv"
+            pred_path.write_text(pred_text, encoding="utf-8", newline="")
+            sales_path.write_text(sales_text, encoding="utf-8", newline="")
+            pred = open_dataset(pred_path, "daily_inference")
+            sales = open_dataset(sales_path, "daily_sales")
+            expected = outcome(lambda: reference_assemble(pred, sales, date(2022, 3, 20)))
+            expected = as_raised(expected, pred_path, sales_path)
+            with mock.patch("driftmon.data._BLOCK_ROWS", block_rows):
+                got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
+        assert bits(got) == bits(expected)
+
+    @pytest.mark.parametrize(
+        "text,csv_reads_rows",
+        [
+            (PREDICTION_HEADER + "u1,2022-03-07,1.0,2.0\r\nu2,2022-03-07, 3.0 ,4.0\r\n", False),
+            (PREDICTION_HEADER + "u1,2022-03-07,1.0,2.0\nu2,2022-03-07,3.0,4.0,5.0\n", True),
+            (PREDICTION_HEADER + 'u1,2022-03-07,1.0,2.0\nu2,2022-03-07,"3.0",4.0\n', True),
+            (PREDICTION_HEADER + "u1,2022-03-07,1.0,2.0\r\n\r\nu2,2022-03-07,3.0,4.0\r\n", True),
+            (PREDICTION_HEADER + "u1,2022-03-07,1.0,2.0\ru2,2022-03-07,3.0,4.0\r", True),
+            # One cell a line: no comma tells an empty line from a blank cell.
+            ("prediction,f1,unit_id,eval_date\n1.0\n\n3.0\n", True),
+        ],
+    )
+    def test_only_plain_blocks_take_the_split_lane(
+        self, tmp_path: Path, text: str, csv_reads_rows: bool
+    ) -> None:
+        """``csv.reader`` reads the header, and reads rows only from a
+        block that is not a grid of plain lines, one row each."""
+        handle = open_dataset(write_csv(tmp_path / "t.csv", text), "training")
+        with mock.patch("driftmon.data.csv.reader", wraps=csv.reader) as reader:
+            blocks = list(read_columns(handle, ["prediction"]))
+        assert blocks == [([1.0, 3.0],)]
+        assert reader.call_count == 1 + csv_reads_rows
 
 
 class TestSynthSpec:

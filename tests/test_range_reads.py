@@ -5,7 +5,8 @@ threshold reaction walks the days down from ``as_of`` until one holds its
 metric.  The reference for both is the full scan they replace: parse every
 stored document, then filter.  A query command also starts without numpy,
 and so does every drift command; only ``synth`` loads it.  Queries and
-reactions load no data-file, statistics, ``dataclasses`` or ``logging`` code.
+reactions load no data-file, statistics, ``dataclasses`` or ``logging`` code,
+and a drift command over a file without blank cells loads no ``logging``.
 """
 
 from __future__ import annotations
@@ -355,7 +356,10 @@ def test_drift_commands_leave_numpy_unloaded_and_synth_loads_it(tmp_path: Path) 
             ["run-monitor", *common, "--monitor", monitor, "--date", "2022-03-20"]
             + ["--data", f"{data}/inference.csv"],
         ]
-    assert run_in_fresh_interpreter(commands, ("numpy", "dataclasses")) == {
+    # The synth files hold no blank cell, so nothing is logged, and a
+    # drift run scores no forecast.
+    modules = ("numpy", "dataclasses", "logging", "driftmon.performance")
+    assert run_in_fresh_interpreter(commands, modules) == {
         "codes": [EXIT_OK] * len(commands),
         "loaded": [],
     }

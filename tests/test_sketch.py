@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -348,6 +349,47 @@ def test_any_chunking_builds_the_state_one_value_per_call_builds(
     if n:
         grid = [i / 200 for i in range(201)]
         assert [sketch.query(p).hex() for p in grid] == [expected.query(p).hex() for p in grid]
+
+
+def weighted_sort_answers(sketch: QuantileSketch, ps: list[float]) -> list[float]:
+    """The reference view: every held value paired with its weight, the
+    pairs sorted, and each answer the first value whose cumulative weight
+    reaches the target rank."""
+    weighted = sorted((v, 1 << h) for h, level in enumerate(sketch._levels) for v in level)
+    cumulative = list(accumulate(w for _, w in weighted))
+    answers = []
+    for p in ps:
+        target = math.ceil(p * sketch.count)
+        if target <= 0:
+            answers.append(sketch._min)
+        elif target >= sketch.count:
+            answers.append(sketch._max)
+        else:
+            answers.append(weighted[bisect_left(cumulative, target)][0])
+    return answers
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=40,
+    ),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.sampled_from([0.5, 0.3, 0.1, 0.05]),
+)
+def test_merged_view_answers_as_the_weighted_sort(pool, n, seed, epsilon) -> None:
+    """The view merged from the sorted levels answers every grid point with
+    the value, bit for bit, that sorting (value, weight) pairs gives, over
+    streams full of ties and signed zeros."""
+    sketch = QuantileSketch(epsilon)
+    sketch.extend(random.Random(seed).choices(pool, k=n))
+    grid = [i / 200 for i in range(201)]
+    assert [v.hex() for v in sketch._quantiles(grid)] == [
+        v.hex() for v in weighted_sort_answers(sketch, grid)
+    ]
 
 
 def fed_by_one_call(epsilon: float, values) -> QuantileSketch:
