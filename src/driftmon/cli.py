@@ -11,12 +11,11 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import core
 from .core import (
@@ -179,69 +178,104 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _metric_table_rows(records: list[MetricRecord]) -> tuple[list[str], list[list[str]]]:
-    metric_names = sorted({name for r in records for name in r.metrics})
-    context_names = sorted({name for r in records for name in r.context})
-    header = ["model_id", "monitor_id", "eval_date", "quantity"] + metric_names + context_names
-    rows = []
-    for r in records:
-        row = [r.model_id, r.monitor_id, r.eval_date.isoformat(), r.quantity]
-        row += [_cell(r.metrics[n]) if n in r.metrics else "" for n in metric_names]
-        row += [_cell(r.context[n]) if n in r.context else "" for n in context_names]
-        rows.append(row)
-    return header, rows
+#: Leading columns of the ``table`` and ``csv`` renderings; a metric
+#: record's metric names and context keys follow, each block sorted.
+_METRIC_COLUMNS = ["model_id", "monitor_id", "eval_date", "quantity"]
+_LOG_COLUMNS = ["model_id", "reaction_id", "created_at", "severity", "body"]
 
 
-def _log_table_rows(records: list[LogRecord]) -> tuple[list[str], list[list[str]]]:
-    header = ["model_id", "reaction_id", "created_at", "severity", "body"]
-    rows = [
-        [
-            r.model_id,
-            r.reaction_id,
-            core._iso_seconds(r.created_at),
-            r.severity.value,
-            dumps_doc(r.body).rstrip("\n"),
-        ]
-        for r in records
-    ]
-    return header, rows
+def _metric_row(r: MetricRecord) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
+    """The record's cells over its own columns, and the names of those
+    columns past the leading ones: its metrics, then its context."""
+    metrics, context = tuple(sorted(r.metrics)), tuple(sorted(r.context))
+    cells = [r.model_id, r.monitor_id, r.eval_date.isoformat(), r.quantity]
+    cells += [_cell(r.metrics[n]) for n in metrics]
+    cells += [_cell(r.context[n]) for n in context]
+    return cells, (metrics, context)
 
 
-def _print_table(header: list[str], rows: list[list[str]]) -> None:
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+def _log_row(r: LogRecord) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
+    return [
+        r.model_id,
+        r.reaction_id,
+        core._iso_seconds(r.created_at),
+        r.severity.value,
+        dumps_doc(r.body).rstrip("\n"),
+    ], ()
 
 
-def _print_csv(header: list[str], rows: list[list[str]]) -> None:
-    import csv
+class _Lines(list):
+    """A list that a ``csv.writer`` appends its rendered lines to."""
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
+    write = list.append
 
 
 def _emit(
-    records: list[MetricRecord] | list[LogRecord],
-    table_rows: Callable[..., tuple[list[str], list[list[str]]]],
+    records: Iterable[MetricRecord] | Iterable[LogRecord],
+    columns: list[str],
+    row: Callable[..., tuple[list[str], tuple[tuple[str, ...], ...]]],
     fmt: str,
 ) -> None:
-    """Print ``records`` as canonical documents, or as the csv or table
-    rendering of the ``(header, rows)`` that ``table_rows`` builds."""
+    """Print ``records`` as canonical documents, CSV or an aligned table.
+
+    Each record is rendered to its output text as it arrives, so the
+    records themselves are not kept: a document line, or one CSV line of
+    the cells ``row`` gives over the record's own columns.  The text is
+    written after the last record has decoded, so a corrupt document
+    fails the command with nothing on stdout.  The ``csv`` and ``table``
+    header is ``columns`` and then, per block of named columns, the sorted
+    union of the records' names; only a line over other columns than
+    that is parsed back and laid out again.
+    """
     if fmt == "doc":
-        for r in records:
-            sys.stdout.write(dumps_doc(r.to_doc()))
+        sys.stdout.writelines([dumps_doc(r.to_doc()) for r in records])
         return
-    header, rows = table_rows(records)
+    import csv
+
+    lines, spare = _Lines(), _Lines()
+    render = csv.writer(lines).writerow
+    rerender = csv.writer(spare).writerow
+
+    def line_of(cells: list[str]) -> str:
+        rerender(cells)
+        return spare.pop()
+
+    # Per line, the names of its columns past ``columns``; equal names
+    # share one tuple.
+    layouts: list[tuple[tuple[str, ...], ...]] = []
+    seen: dict[tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...]] = {}
+    for r in records:
+        cells, layout = row(r)
+        render(cells)
+        layouts.append(seen.setdefault(layout, layout))
+    union = tuple(tuple(sorted(set().union(*block))) for block in zip(*seen))
+    header = columns + [name for block in union for name in block]
+
+    def relaid() -> Iterator[str]:
+        for layout, line in zip(layouts, lines):
+            if layout != union:
+                cells = next(csv.reader([line]))
+                at = len(columns)
+                out = cells[:at]
+                for names, names_of_all in zip(layout, union):
+                    own = dict(zip(names, cells[at : at + len(names)]))
+                    at += len(names)
+                    out += [own.get(name, "") for name in names_of_all]
+                line = line_of(out)
+            yield line
+
     if fmt == "csv":
-        _print_csv(header, rows)
-    else:
-        _print_table(header, rows)
+        sys.stdout.write(line_of(header))
+        sys.stdout.writelines(relaid())
+        return
+    # Two passes over the parsed lines, one to size the columns and one to
+    # print them, so that no more than one row of cells is held at a time.
+    widths = [len(h) for h in header]
+    for cells in csv.reader(relaid()):
+        widths = [max(w, len(cell)) for w, cell in zip(widths, cells)]
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    for cells in csv.reader(relaid()):
+        print("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
 
 
 # -- command handlers ---------------------------------------------------------
@@ -287,12 +321,12 @@ def _cmd_run_monitor(service: MonitoringService, args) -> None:
     if args.sales:
         sales = open_dataset(_data_path(args, args.sales), DatasetKind.DAILY_SALES)
     records = service.run_monitor(args.model, args.monitor, args.eval_date, data, sales)
-    _emit(records, _metric_table_rows, args.format)
+    _emit(records, _METRIC_COLUMNS, _metric_row, args.format)
 
 
 def _cmd_get_metrics(service: MonitoringService, args) -> None:
-    records = service.get_metrics(args.model, args.monitor, args.date_from, args.date_to)
-    _emit(records, _metric_table_rows, args.format)
+    records = service.iter_metrics(args.model, args.monitor, args.date_from, args.date_to)
+    _emit(records, _METRIC_COLUMNS, _metric_row, args.format)
 
 
 def _cmd_set_reaction(service: MonitoringService, args) -> None:
@@ -319,8 +353,8 @@ def _cmd_run_reaction(service: MonitoringService, args) -> None:
 
 
 def _cmd_get_logs(service: MonitoringService, args) -> None:
-    records = service.get_logs(args.model, args.reaction, args.from_ts, args.to_ts)
-    _emit(records, _log_table_rows, args.format)
+    records = service.iter_logs(args.model, args.reaction, args.from_ts, args.to_ts)
+    _emit(records, _LOG_COLUMNS, _log_row, args.format)
 
 
 def _cmd_delete(service: MonitoringService, args) -> None:

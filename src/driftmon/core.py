@@ -18,9 +18,9 @@ import math
 import operator
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
-from ._record import Record, _as_utc, _iso_seconds, _parse_ts, replace
+from ._record import Record, _as_utc, _iso_micro, _iso_seconds, _parse_ts, replace
 from .errors import NotFoundError, PreconditionError, StorageError, ValidationError
 from .store import _SEGMENT_RE, FileStore, StoreKey, dumps_doc, loads_doc
 
@@ -228,6 +228,32 @@ class LogRecord(Record):
     created_at: datetime
     severity: Severity
     body: dict[str, Any]
+
+
+def _metric_place(record: MetricRecord) -> tuple[str, str]:
+    """The key segments a metric record is stored under, below its monitor's
+    ``metrics`` prefix."""
+    return record.eval_date.isoformat(), record.quantity
+
+
+def _log_name(ts: datetime) -> str:
+    """The key name of a log created at ``ts``: its UTC time to the
+    microsecond, ``%Y%m%dT%H%M%S.%fZ`` with a four-digit year, which sorts
+    as time."""
+    return _iso_micro(ts).replace("-", "").replace(":", "")
+
+
+def _log_place(record: LogRecord) -> tuple[str]:
+    return (_log_name(record.created_at),)
+
+
+def _log_bound(ts: datetime) -> str:
+    """``ts`` as a key name to compare log key names with.  A bound whose
+    UTC time falls outside the years 1-9999 is before or after every name."""
+    try:
+        return _log_name(ts)
+    except OverflowError:
+        return "" if ts.year == 1 else "~"
 
 
 def stride_sample(points: list, sample_size: int) -> list:
@@ -467,37 +493,65 @@ class MonitoringService:
             )
         ]
 
-    def get_metrics(
-        self, model_id: str, monitor_id: str, date_from: date, date_to: date
-    ) -> list[MetricRecord]:
-        """Stored records in the inclusive date range, ordered by
-        (eval_date, quantity).
+    def _placed(
+        self,
+        prefix: StoreKey,
+        keys: Iterable[StoreKey],
+        decode: Callable[[Any], _T],
+        place: Callable[[_T], tuple[str, ...]],
+    ) -> Iterator[_T]:
+        """Decode the documents at ``keys`` under ``prefix`` one at a time.
 
-        Only the day directories whose ISO date falls in the range are
-        read, so a query costs the days it asks for, not the history.
+        ``place`` gives the key segments below ``prefix`` that a record
+        belongs at.  A record stored anywhere else is a corrupt document:
+        key order is record order only while every record sits at its key.
+        """
+        depth = len(prefix.segments)
+        for key in keys:
+            record = self._load(key, decode)
+            if record is None:  # removed since it was listed
+                continue
+            where = place(record)
+            if key.segments[depth:] != where:
+                raise StorageError(
+                    f"corrupt document {key}: its record belongs at {prefix}/{'/'.join(where)}"
+                )
+            yield record
+
+    def _records_on(self, prefix: StoreKey, day: str) -> Iterator[MetricRecord]:
+        """The records stored under one day directory of a metrics prefix,
+        by quantity."""
+        return self._placed(
+            prefix, self.store.list(prefix.child(day)), MetricRecord.from_doc, _metric_place
+        )
+
+    def iter_metrics(
+        self, model_id: str, monitor_id: str, date_from: date, date_to: date
+    ) -> Iterator[MetricRecord]:
+        """Stored records in the inclusive date range, ordered by
+        (eval_date, quantity), each yielded as soon as it is decoded.
+
+        Day directories are ISO dates and a day's keys are its quantities,
+        so key order is record order.  Only the day directories in the
+        range are read, so a query costs the days it asks for, not the
+        history.
         """
         if date_from > date_to:
             raise ValidationError("metric range is reversed: date_from is after date_to")
         prefix = self._metrics_prefix(model_id, monitor_id)
         first, last = date_from.isoformat(), date_to.isoformat()
-        records = [
+        return (
             record
             for day in self.store.children(prefix)
             if first <= day <= last
             for record in self._records_on(prefix, day)
-            if date_from <= record.eval_date <= date_to
-        ]
-        records.sort(key=lambda r: (r.eval_date, r.quantity))
-        return records
+        )
 
-    def _records_on(self, prefix: StoreKey, day: str) -> list[MetricRecord]:
-        """The records stored under one day directory of a metrics prefix."""
-        records = []
-        for key in self.store.list(prefix.child(day)):
-            record = self._load(key, MetricRecord.from_doc)
-            if record is not None:
-                records.append(record)
-        return records
+    def get_metrics(
+        self, model_id: str, monitor_id: str, date_from: date, date_to: date
+    ) -> list[MetricRecord]:
+        """The records of ``iter_metrics`` as a list."""
+        return list(self.iter_metrics(model_id, monitor_id, date_from, date_to))
 
     # -- reactions ---------------------------------------------------------
 
@@ -535,7 +589,7 @@ class MonitoringService:
         # by this process or another, moves the record to the next one.
         prefix = self._log_prefix(model_id, reaction_id)
         while not self.store.create(
-            prefix.child(record.created_at.strftime("%Y%m%dT%H%M%S.%fZ")),
+            prefix.child(_log_name(record.created_at)),
             dumps_doc(record.to_doc()),
         ):
             record = replace(record, created_at=record.created_at + timedelta(microseconds=1))
@@ -546,27 +600,21 @@ class MonitoringService:
         # down from ``as_of`` and stop at the first day holding the metric.
         prefix = self._metrics_prefix(config.model_id, config.monitor_id)
         last = as_of.isoformat()
-        records: list[MetricRecord] = []
+        values: dict[str, float] = {}
         for day in reversed(self.store.children(prefix)):
             if day <= last:
-                records = [
-                    r
+                values = {
+                    r.quantity: r.metrics[config.metric_name]
                     for r in self._records_on(prefix, day)
-                    if r.eval_date <= as_of and config.metric_name in r.metrics
-                ]
-                if records:
+                    if config.metric_name in r.metrics
+                }
+                if values:
                     break
-        if not records:
+        if not values:
             raise PreconditionError(
                 f"no {config.metric_name!r} metrics at or before {as_of.isoformat()} "
                 f"for monitor {config.monitor_id!r}"
             )
-        latest = max(r.eval_date for r in records)
-        values = {
-            r.quantity: r.metrics[config.metric_name]
-            for r in records
-            if r.eval_date == latest
-        }
         compare = _COMPARATORS[config.comparator]
         fired = any(compare(v, config.threshold) for v in values.values())
         return LogRecord(
@@ -576,7 +624,7 @@ class MonitoringService:
             severity=Severity.ALERT if fired else Severity.INFO,
             body={
                 "comparator": config.comparator,
-                "eval_date": latest.isoformat(),
+                "eval_date": day,
                 "fired": fired,
                 "metric": config.metric_name,
                 "threshold": config.threshold,
@@ -585,20 +633,21 @@ class MonitoringService:
         )
 
     def _report_log(self, config: ReactionConfig) -> LogRecord:
-        records = self.get_metrics(
+        by_series: dict[tuple[str, str], list[list]] = {}
+        records = 0
+        for record in self.iter_metrics(
             config.model_id, config.monitor_id, config.date_from, config.date_to
-        )
+        ):
+            records += 1
+            for metric, value in sorted(record.metrics.items()):
+                by_series.setdefault((record.quantity, metric), []).append(
+                    [record.eval_date.isoformat(), value]
+                )
         if not records:
             raise PreconditionError(
                 f"no metrics in [{config.date_from}, {config.date_to}] "
                 f"for monitor {config.monitor_id!r}"
             )
-        by_series: dict[tuple[str, str], list[list]] = {}
-        for record in records:
-            for metric, value in sorted(record.metrics.items()):
-                by_series.setdefault((record.quantity, metric), []).append(
-                    [record.eval_date.isoformat(), value]
-                )
         series = [
             {
                 "metric": metric,
@@ -620,6 +669,35 @@ class MonitoringService:
             },
         )
 
+    def iter_logs(
+        self,
+        model_id: str,
+        reaction_id: str,
+        from_ts: datetime | None = None,
+        to_ts: datetime | None = None,
+    ) -> Iterator[LogRecord]:
+        """Stored logs in the inclusive timestamp range, oldest first, each
+        yielded as soon as it is decoded; no zone means UTC.
+
+        A log's key is its ``created_at`` in key form, which sorts as time,
+        so the bounds are compared with key names and no log outside them
+        is read.
+        """
+        from_ts, to_ts = (ts and _as_utc(ts) for ts in (from_ts, to_ts))
+        if from_ts is not None and to_ts is not None and from_ts > to_ts:
+            raise ValidationError("log range is reversed: from_ts is after to_ts")
+        first = "" if from_ts is None else _log_bound(from_ts)
+        last = "~" if to_ts is None else _log_bound(to_ts)  # "~" follows every name
+        prefix = self._log_prefix(model_id, reaction_id)
+        depth = len(prefix.segments)
+        keys = self.store.list(prefix)
+        return self._placed(
+            prefix,
+            (key for key in keys if first <= "/".join(key.segments[depth:]) <= last),
+            LogRecord.from_doc,
+            _log_place,
+        )
+
     def get_logs(
         self,
         model_id: str,
@@ -627,22 +705,8 @@ class MonitoringService:
         from_ts: datetime | None = None,
         to_ts: datetime | None = None,
     ) -> list[LogRecord]:
-        """Stored logs in the inclusive timestamp range, oldest first; no zone means UTC."""
-        from_ts, to_ts = (ts and _as_utc(ts) for ts in (from_ts, to_ts))
-        if from_ts is not None and to_ts is not None and from_ts > to_ts:
-            raise ValidationError("log range is reversed: from_ts is after to_ts")
-        logs = []
-        for key in self.store.list(self._log_prefix(model_id, reaction_id)):
-            record = self._load(key, LogRecord.from_doc)
-            if record is None:
-                continue
-            if from_ts is not None and record.created_at < from_ts:
-                continue
-            if to_ts is not None and record.created_at > to_ts:
-                continue
-            logs.append(record)
-        logs.sort(key=lambda r: r.created_at)
-        return logs
+        """The logs of ``iter_logs`` as a list."""
+        return list(self.iter_logs(model_id, reaction_id, from_ts, to_ts))
 
     # -- deletion ----------------------------------------------------------
 

@@ -368,6 +368,67 @@ class TestExitCodes:
         assert f"corrupt document {key}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "copy_to", ["2022-03-19/f1", "2022-03-20/f2"], ids=["another day", "another quantity"]
+    )
+    def test_metric_under_another_key_is_an_io_error(self, workspace, cli, copy_to) -> None:
+        """A metric record must sit at its own eval_date and quantity: a
+        query, a report and a threshold reaction that meet a copy elsewhere
+        fail naming the copy's key."""
+        store, _ = workspace
+        key = f"model/m1/monitor/d1/metrics/{copy_to}"
+        metrics = Path(store, "model/m1/monitor/d1/metrics")
+        (metrics / copy_to).parent.mkdir(exist_ok=True)
+        shutil.copyfile(metrics / "2022-03-20/f1.json", metrics / f"{copy_to}.json")
+        common = ("--store", store, "--model", "m1")
+        for kind, flags in (
+            ("threshold", ("--metric", "ks_distance", "--comparator", ">=", "--threshold", "0.0")),
+            ("report", ("--from", "2022-03-19", "--to", "2022-03-20", "--sample-size", "2")),
+        ):
+            code, _, err = cli(
+                "set-reaction", *common, "--id", kind, "--kind", kind, "--monitor", "d1", *flags
+            )
+            assert code == EXIT_OK, err
+        day = copy_to.split("/")[0]
+        commands = [
+            ("get-metrics", *common, "--monitor", "d1", "--from", day, "--to", day)
+            + ("--format", fmt)
+            for fmt in ("table", "csv", "doc")
+        ] + [
+            ("run-reaction", *common, "--reaction", reaction, "--as-of", day)
+            for reaction in ("threshold", "report")
+        ]
+        for command in commands:
+            code, out, err = cli(*command)
+            assert (code, out) == (EXIT_IO, ""), command
+            assert f"corrupt document {key}: its record belongs at " in err
+            assert "model/m1/monitor/d1/metrics/2022-03-20/f1" in err
+            assert "Traceback" not in err
+        assert not Path(store, "model/m1/reaction/threshold/log").exists()
+        assert not Path(store, "model/m1/reaction/report/log").exists()
+
+    def test_log_under_another_time_is_an_io_error(self, workspace, cli) -> None:
+        """A log must sit at its own ``created_at`` in key form."""
+        store, _ = workspace
+        reaction = ("--store", store, "--model", "m1", "--reaction", "r1")
+        cli(
+            "set-reaction", "--store", store, "--model", "m1", "--id", "r1",
+            "--kind", "threshold", "--monitor", "d1", "--metric", "ks_distance",
+            "--comparator", ">=", "--threshold", "0.0",
+        )
+        assert cli("run-reaction", *reaction, "--as-of", "2022-03-25")[0] == EXIT_OK
+        (path,) = Path(store, "model/m1/reaction/r1/log").glob("*.json")
+        path.rename(path.with_name("20220101T000000.000000Z.json"))
+        for window in ((), ("--from", "2022-01-01T00:00:00Z", "--to", "2022-01-01T00:00:00Z")):
+            for fmt in ("table", "csv", "doc"):
+                code, out, err = cli("get-logs", *reaction, *window, "--format", fmt)
+                assert (code, out) == (EXIT_IO, "")
+                assert (
+                    "corrupt document model/m1/reaction/r1/log/20220101T000000.000000Z: "
+                    f"its record belongs at model/m1/reaction/r1/log/{path.stem}"
+                ) in err
+                assert "Traceback" not in err
+
 
 #: Stored fields of the wrong JSON type, each of which an older decoder
 #: coerced into a value: (document, field, stored value, command that reads
@@ -704,7 +765,8 @@ class TestReactionCommands:
 
     def test_stored_log_times_are_read_and_shown_in_utc(self, workspace, cli) -> None:
         """A stored ``created_at`` without a zone is UTC, and one in another
-        zone is shown converted to UTC."""
+        zone is shown converted to UTC.  Each edited log is moved to the key
+        its time names, as a log stored elsewhere is corrupt."""
         store, _ = workspace
         reaction = ("--store", store, "--model", "m1", "--reaction", "r1")
         cli(
@@ -716,7 +778,12 @@ class TestReactionCommands:
         (path,) = Path(store, "model/m1/reaction/r1/log").glob("*.json")
         doc = json.loads(path.read_text(encoding="utf-8"))
 
+        def move(name: str) -> None:
+            nonlocal path
+            path = path.rename(path.with_name(f"{name}.json"))
+
         doc["created_at"] = "2022-03-21T12:00:00.000000"
+        move("20220321T120000.000000Z")
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = cli("get-logs", *reaction, "--from", "2022-01-01T00:00:00Z")
         assert code == EXIT_OK, err
@@ -725,6 +792,7 @@ class TestReactionCommands:
         assert (code, out.splitlines()[1:]) == (EXIT_OK, [])
 
         doc["created_at"] = "2022-03-21T12:00:00.000000+02:00"
+        move("20220321T100000.000000Z")
         path.write_text(json.dumps(doc), encoding="utf-8")
         for fmt in ("table", "csv"):
             code, out, err = cli("get-logs", *reaction, "--format", fmt)

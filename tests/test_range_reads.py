@@ -1,9 +1,10 @@
-"""Queries and reactions read only the stored days they need.
+"""Queries and reactions read only the stored days and logs they need.
 
-``get_metrics`` parses only the day directories in its range, and a
-threshold reaction walks the days down from ``as_of`` until one holds its
-metric.  The reference for both is the full scan they replace: parse every
-stored document, then filter.  A query command also starts without numpy,
+``get_metrics`` parses only the day directories in its range, a threshold
+reaction walks the days down from ``as_of`` until one holds its metric, and
+``get_logs`` reads only the logs whose key names fall in its window.  The
+reference for each is the full scan it replaces: parse every stored
+document, then filter.  A query command also starts without numpy,
 and so does every drift command; only ``synth`` loads it.  Queries and
 reactions load no data-file, statistics, ``dataclasses`` or ``logging`` code,
 and a drift command over a file without blank cells loads no ``logging``.
@@ -15,7 +16,7 @@ import json
 import os
 import subprocess
 import sys
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ import pytest
 import driftmon
 from driftmon import (
     FileStore,
+    LogRecord,
     MetricRecord,
     MonitorConfig,
     MonitorKind,
@@ -203,6 +205,117 @@ class TestThresholdWalk:
         corrupt(history, "2022-01-03")
         (log,) = history.run_reaction("m1", "alert", date(2022, 1, 15))
         assert log.body["eval_date"] == "2022-01-15"
+
+
+#: When the threshold reaction of ``logged`` ran: hours apart, and two
+#: runs one microsecond apart.
+LOG_TIMES = [
+    datetime(2022, 3, 1, tzinfo=timezone.utc) + timedelta(hours=h) for h in range(6)
+] + [datetime(2022, 3, 1, 5, 0, 0, 1, tzinfo=timezone.utc)]
+PLUS_2 = timezone(timedelta(hours=2))
+MINUS_2 = timezone(timedelta(hours=-2))
+LOG_WINDOWS = {
+    "everything": (None, None),
+    "from only": (datetime(2022, 3, 1, 2, tzinfo=timezone.utc), None),
+    "to only": (None, datetime(2022, 3, 1, 2, tzinfo=timezone.utc)),
+    "exact bounds": (LOG_TIMES[1], LOG_TIMES[3]),
+    "one microsecond": (LOG_TIMES[-1], LOG_TIMES[-1]),
+    "between logs": (
+        datetime(2022, 3, 1, 1, 30, tzinfo=timezone.utc),
+        datetime(2022, 3, 1, 1, 45, tzinfo=timezone.utc),
+    ),
+    "without a zone": (datetime(2022, 3, 1, 1), datetime(2022, 3, 1, 3)),
+    "in another zone": (
+        datetime(2022, 3, 1, 3, tzinfo=PLUS_2),
+        datetime(2022, 3, 1, 1, tzinfo=MINUS_2),
+    ),
+    "the whole calendar": (
+        datetime.min.replace(tzinfo=PLUS_2),
+        datetime.max.replace(tzinfo=MINUS_2),
+    ),
+    "after every log": (datetime.max.replace(tzinfo=MINUS_2), None),
+}
+
+
+@pytest.fixture
+def logged(history: MonitoringService, monkeypatch: pytest.MonkeyPatch) -> MonitoringService:
+    """``history`` with one threshold log per time in ``LOG_TIMES``."""
+    times = iter(LOG_TIMES)
+    monkeypatch.setattr("driftmon.core._now", lambda: next(times))
+    for _ in LOG_TIMES:
+        history.run_reaction("m1", "alert", LAST)
+    monkeypatch.undo()
+    return history
+
+
+def log_prefix() -> StoreKey:
+    return StoreKey.of("model", "m1", "reaction", "alert", "log")
+
+
+def scan_logs(
+    service: MonitoringService, from_ts: datetime | None, to_ts: datetime | None
+) -> list[LogRecord]:
+    """The full-scan reference: every stored log parsed, then filtered."""
+    from_ts, to_ts = (
+        ts and ts.replace(tzinfo=ts.tzinfo or timezone.utc) for ts in (from_ts, to_ts)
+    )
+    logs = []
+    for key in service.store.list(log_prefix()):
+        log = LogRecord.from_doc(loads_doc(service.store.get(key)))
+        if from_ts is not None and log.created_at < from_ts:
+            continue
+        if to_ts is not None and log.created_at > to_ts:
+            continue
+        logs.append(log)
+    logs.sort(key=lambda log: log.created_at)
+    return logs
+
+
+class TestGetLogs:
+    @pytest.mark.parametrize("from_ts, to_ts", LOG_WINDOWS.values(), ids=LOG_WINDOWS.keys())
+    def test_matches_the_full_scan(
+        self,
+        logged: MonitoringService,
+        from_ts: datetime | None,
+        to_ts: datetime | None,
+        monkeypatch: pytest.MonkeyPatch,
+    ) -> None:
+        read: list[StoreKey] = []
+        real_get = FileStore.get
+
+        def counting_get(store: FileStore, key: StoreKey) -> str | None:
+            read.append(key)
+            return real_get(store, key)
+
+        expected = scan_logs(logged, from_ts, to_ts)
+        monkeypatch.setattr(FileStore, "get", counting_get)
+        got = logged.get_logs("m1", "alert", from_ts, to_ts)
+        assert got == expected
+        # Only the logs in the window are read, each once.
+        assert read == [
+            log_prefix().child(log.created_at.strftime("%Y%m%dT%H%M%S.%fZ")) for log in got
+        ]
+
+    def test_the_windows_select_some_logs(self, logged: MonitoringService) -> None:
+        counts = [len(scan_logs(logged, *window)) for window in LOG_WINDOWS.values()]
+        assert counts == [7, 5, 3, 3, 1, 0, 3, 3, 7, 0]
+
+    def test_a_corrupt_log_outside_the_window_is_not_read(
+        self, logged: MonitoringService, cli
+    ) -> None:
+        name = LOG_TIMES[0].strftime("%Y%m%dT%H%M%S.%fZ")
+        path = Path(logged.store.root, *log_prefix().segments, f"{name}.json")
+        path.write_text('{"created_at": "2022-0', encoding="utf-8")
+        logs = logged.get_logs("m1", "alert", from_ts=LOG_TIMES[1])
+        assert [log.created_at for log in logs] == LOG_TIMES[1:]
+        query = ["get-logs", "--store", str(logged.store.root), "--model", "m1"]
+        query += ["--reaction", "alert", "--format", "csv"]
+        code, out, err = cli(*query, "--from", "2022-03-01T00:00:00.000001Z")
+        assert (code, err) == (EXIT_OK, "")
+        assert len(out.splitlines()) == 1 + len(LOG_TIMES) - 1
+        code, out, err = cli(*query, "--to", "2022-03-01T00:00:00Z")
+        assert (code, out) == (EXIT_IO, "")
+        assert f"corrupt document {log_prefix()}/{name}" in err
 
 
 @pytest.fixture
