@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import core
 from .core import (
@@ -210,6 +211,11 @@ class _Lines(list):
     write = list.append
 
 
+#: One field of a line that ``csv.writer`` wrote, as written (quoted when
+#: it holds a comma, a quote or a line break), and the comma after it.
+_CSV_FIELD = re.compile(r'((?:"[^"]*")+|[^,"]*),')
+
+
 def _emit(
     records: Iterable[MetricRecord] | Iterable[LogRecord],
     columns: list[str],
@@ -218,63 +224,64 @@ def _emit(
 ) -> None:
     """Print ``records`` as canonical documents, CSV or an aligned table.
 
-    Each record is rendered to its output text as it arrives, so the
-    records themselves are not kept: a document line, or one CSV line of
-    the cells ``row`` gives over the record's own columns.  The text is
-    written after the last record has decoded, so a corrupt document
-    fails the command with nothing on stdout.  The ``csv`` and ``table``
-    header is ``columns`` and then, per block of named columns, the sorted
-    union of the records' names; only a line over other columns than
-    that is parsed back and laid out again.
+    Each record is rendered as it arrives, so the records themselves are
+    not kept: to a document line, to one CSV line of the cells ``row``
+    gives over the record's own columns, or, for ``table``, to those
+    cells.  The output is written after the last record has decoded, so a
+    corrupt document fails the command with nothing on stdout.  The
+    ``csv`` and ``table`` header is ``columns`` and then, per block of
+    named columns, the sorted union of the records' names; a row over
+    other columns than that is laid out again, empty where it has no cell.
     """
     if fmt == "doc":
         sys.stdout.writelines([dumps_doc(r.to_doc()) for r in records])
         return
     import csv
 
-    lines, spare = _Lines(), _Lines()
-    render = csv.writer(lines).writerow
-    rerender = csv.writer(spare).writerow
-
-    def line_of(cells: list[str]) -> str:
-        rerender(cells)
-        return spare.pop()
-
-    # Per line, the names of its columns past ``columns``; equal names
-    # share one tuple.
+    # Per record, its CSV line or its cells, and the names of its columns
+    # past ``columns``; equal names share one tuple.
+    kept = _Lines()
+    writer = csv.writer(kept)
+    keep = writer.writerow if fmt == "csv" else kept.append
     layouts: list[tuple[tuple[str, ...], ...]] = []
     seen: dict[tuple[tuple[str, ...], ...], tuple[tuple[str, ...], ...]] = {}
     for r in records:
         cells, layout = row(r)
-        render(cells)
+        keep(cells)
         layouts.append(seen.setdefault(layout, layout))
     union = tuple(tuple(sorted(set().union(*block))) for block in zip(*seen))
     header = columns + [name for block in union for name in block]
 
-    def relaid() -> Iterator[str]:
-        for layout, line in zip(layouts, lines):
-            if layout != union:
-                cells = next(csv.reader([line]))
-                at = len(columns)
-                out = cells[:at]
-                for names, names_of_all in zip(layout, union):
-                    own = dict(zip(names, cells[at : at + len(names)]))
-                    at += len(names)
-                    out += [own.get(name, "") for name in names_of_all]
-                line = line_of(out)
-            yield line
+    def laid_out(fields: list[str], layout: tuple[tuple[str, ...], ...]) -> list[str]:
+        at = len(columns)
+        out = fields[:at]
+        for names, names_of_all in zip(layout, union):
+            own = dict(zip(names, fields[at : at + len(names)]))
+            at += len(names)
+            out += [own.get(name, "") for name in names_of_all]
+        return out
 
     if fmt == "csv":
-        sys.stdout.write(line_of(header))
-        sys.stdout.writelines(relaid())
+        writer.writerow(header)
+        sys.stdout.write(kept.pop())
+        # A line is split into its fields as written, quotes and all, so
+        # no cell is parsed and none is too long to lay out again.
+        sys.stdout.writelines(
+            line
+            if layout == union
+            else ",".join(laid_out(_CSV_FIELD.findall(line[:-2] + ","), layout)) + "\r\n"
+            for layout, line in zip(layouts, kept)
+        )
         return
-    # Two passes over the parsed lines, one to size the columns and one to
-    # print them, so that no more than one row of cells is held at a time.
+    rows = [
+        cells if layout == union else laid_out(cells, layout)
+        for layout, cells in zip(layouts, kept)
+    ]
     widths = [len(h) for h in header]
-    for cells in csv.reader(relaid()):
+    for cells in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, cells)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for cells in csv.reader(relaid()):
+    for cells in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
 
 
@@ -325,7 +332,7 @@ def _cmd_run_monitor(service: MonitoringService, args) -> None:
 
 
 def _cmd_get_metrics(service: MonitoringService, args) -> None:
-    records = service.iter_metrics(args.model, args.monitor, args.date_from, args.date_to)
+    records = service._iter_metrics(args.model, args.monitor, args.date_from, args.date_to)
     _emit(records, _METRIC_COLUMNS, _metric_row, args.format)
 
 
@@ -353,7 +360,7 @@ def _cmd_run_reaction(service: MonitoringService, args) -> None:
 
 
 def _cmd_get_logs(service: MonitoringService, args) -> None:
-    records = service.iter_logs(args.model, args.reaction, args.from_ts, args.to_ts)
+    records = service._iter_logs(args.model, args.reaction, args.from_ts, args.to_ts)
     _emit(records, _LOG_COLUMNS, _log_row, args.format)
 
 

@@ -525,7 +525,7 @@ class MonitoringService:
             prefix, self.store.list(prefix.child(day)), MetricRecord.from_doc, _metric_place
         )
 
-    def iter_metrics(
+    def _iter_metrics(
         self, model_id: str, monitor_id: str, date_from: date, date_to: date
     ) -> Iterator[MetricRecord]:
         """Stored records in the inclusive date range, ordered by
@@ -550,8 +550,9 @@ class MonitoringService:
     def get_metrics(
         self, model_id: str, monitor_id: str, date_from: date, date_to: date
     ) -> list[MetricRecord]:
-        """The records of ``iter_metrics`` as a list."""
-        return list(self.iter_metrics(model_id, monitor_id, date_from, date_to))
+        """Stored records in the inclusive date range, ordered by
+        (eval_date, quantity); only the days in the range are read."""
+        return list(self._iter_metrics(model_id, monitor_id, date_from, date_to))
 
     # -- reactions ---------------------------------------------------------
 
@@ -635,7 +636,7 @@ class MonitoringService:
     def _report_log(self, config: ReactionConfig) -> LogRecord:
         by_series: dict[tuple[str, str], list[list]] = {}
         records = 0
-        for record in self.iter_metrics(
+        for record in self._iter_metrics(
             config.model_id, config.monitor_id, config.date_from, config.date_to
         ):
             records += 1
@@ -669,7 +670,7 @@ class MonitoringService:
             },
         )
 
-    def iter_logs(
+    def _iter_logs(
         self,
         model_id: str,
         reaction_id: str,
@@ -705,8 +706,9 @@ class MonitoringService:
         from_ts: datetime | None = None,
         to_ts: datetime | None = None,
     ) -> list[LogRecord]:
-        """The logs of ``iter_logs`` as a list."""
-        return list(self.iter_logs(model_id, reaction_id, from_ts, to_ts))
+        """Stored logs in the inclusive timestamp range, oldest first; no
+        zone means UTC.  Only the logs in the range are read."""
+        return list(self._iter_logs(model_id, reaction_id, from_ts, to_ts))
 
     # -- deletion ----------------------------------------------------------
 

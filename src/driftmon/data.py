@@ -311,19 +311,15 @@ def assemble_velocity_pairs(
     # prediction, None when that cell was blank; after it, each scored unit
     # to its position in ``predicted``.  A dict keeps the order units first
     # appear in, and ``update`` lets the last row win, so one call places a
-    # block.  A block's dates are compared as the file spells them and
-    # stripped only when that misses; the index is searched for blank
-    # predictions only when a block held one.
+    # block.
     index: dict[str, float | None] = {}
-    blanks = False
     target = forecast_date.isoformat()
     for first, (dates, units, cells) in _column_blocks(
         predictions, ("eval_date", "unit_id", "prediction")
     ):
         rows: Sequence[int] = range(first, first + len(dates))
+        dates = list(map(str.strip, dates))
         units = list(map(str.strip, units))
-        if dates.count(target) != len(dates):
-            dates = list(map(str.strip, dates))
         if dates.count(target) != len(dates):
             keep = [k for k, day in enumerate(dates) if day == target]
             if not keep:
@@ -344,9 +340,8 @@ def assemble_velocity_pairs(
                     if cell
                     else None
                 )
-            blanks = blanks or None in values
         index.update(zip(units, values))
-    blank = [unit for unit, value in index.items() if value is None] if blanks else []
+    blank = [unit for unit, value in index.items() if value is None]
     for unit in blank:
         del index[unit]
     predicted = array("d", index.values())
@@ -380,10 +375,8 @@ def assemble_velocity_pairs(
     dates_seen: set[str] = set()
     position = index.get
     for first, (dates, units, cells) in _column_blocks(sales, ("date", "unit_id", "units")):
+        dates = list(map(str.strip, dates))
         offsets = list(map(window.get, dates))
-        if None in offsets:  # stripped only when the cells as spelt miss
-            dates = list(map(str.strip, dates))
-            offsets = list(map(window.get, dates))
         values = _floats(cells, non_negative=True) if all(dates) else None
         if values is None:
             # Row by row: a blank date fails anywhere, a cell only in the window.

@@ -9,6 +9,8 @@ id, and a hand-edited record with an extra metric and a context value that
 needs CSV quoting) exercises the lines laid out again under the union
 header.  And since the text is written only after the last record has
 decoded, a corrupt document fails the command with nothing on stdout.
+Cells longer than a CSV reader takes (a report log's series, a long
+context value) print as the reference prints them.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ from __future__ import annotations
 import csv
 import io
 import os
+import shutil
 import sys
 import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftmon import (
     FileStore,
@@ -32,7 +37,7 @@ from driftmon import (
     loads_doc,
 )
 from driftmon.store import format_real
-from driftmon.cli import EXIT_IO, EXIT_OK, main
+from driftmon.cli import _CSV_FIELD, EXIT_IO, EXIT_OK, main
 
 FORMATS = ("table", "csv", "doc")
 METRICS = StoreKey.of("model", "m1", "monitor", "d1", "metrics")
@@ -239,6 +244,81 @@ def test_a_corrupt_last_log_prints_nothing(mixed: str, cli, fmt: str) -> None:
     )
     assert (code, out) == (EXIT_IO, "")
     assert f"corrupt document model/m1/reaction/report/log/{last.stem}" in err
+
+
+# -- cells past the CSV reader's field limit ----------------------------------
+
+#: Longer than the 131072 characters of ``csv.field_size_limit()``, which a CSV
+#: reader refuses; the output is written, never read back.
+LONG = 200_000
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_context_value_past_the_field_limit_is_laid_out_again(
+    mixed: str, cli, fmt: str
+) -> None:
+    """The edited record lacks the velocity metrics of the range's union,
+    so its line, long cell and all, is laid out again under the header."""
+    path = Path(mixed, *METRICS.segments, "2022-03-19", "f1.json")
+    doc = loads_doc(path.read_text(encoding="utf-8"))
+    doc["context"]["note"] = 'long, "quoted"\n' + "x" * LONG
+    path.write_text(dumps_doc(doc), encoding="utf-8")
+    code, out, err = cli(
+        "get-metrics", "--store", mixed, "--model", "m1", "--monitor", "d1",
+        "--from", "2022-03-18", "--to", "2022-03-20", "--format", fmt,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    records = reference_metrics(FileStore(mixed), date(2022, 3, 18), date(2022, 3, 20))
+    assert out == render(records, metric_table, fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=',"\r\n x\x00\u00e9'), min_size=2, max_size=6))
+def test_a_written_line_splits_into_its_fields_as_written(cells: list[str]) -> None:
+    """Laying a CSV line out again splits it at the commas between the
+    fields ``csv.writer`` wrote; each field, read alone, is its cell."""
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    line = out.getvalue()
+    fields = _CSV_FIELD.findall(line[:-2] + ",")
+    assert ",".join(fields) + "\r\n" == line
+    assert [next(csv.reader([f]))[0] if f else "" for f in fields] == cells
+
+
+@pytest.fixture
+def long_report(year: str, tmp_path: Path, cli) -> str:
+    """A copy of the year of drift records, with a report reaction over the
+    year run twice: each log's body holds 12 series of 365 points."""
+    store = str(tmp_path / "store")
+    shutil.copytree(year, store)
+    common = ["--store", store, "--model", "m1"]
+    steps = [
+        ["register-model", "--store", store, "--id", "m1"],
+        ["set-monitor", *common, "--id", "d1", "--kind", "drift"]
+        + ["--quantities", ",".join(QUANTITIES)],
+        ["set-reaction", *common, "--id", "report", "--kind", "report", "--monitor", "d1"]
+        + ["--from", "2022-01-01", "--to", "2022-12-31", "--sample-size", str(DAYS)],
+    ]
+    steps += [["run-reaction", *common, "--reaction", "report", "--as-of", "2022-12-31"]] * 2
+    for step in steps:
+        code, _, err = cli(*step)
+        assert code == EXIT_OK, (step, err)
+    return store
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_report_body_past_the_field_limit_prints_the_reference_bytes(
+    long_report: str, cli, fmt: str
+) -> None:
+    code, out, err = cli(
+        "get-logs", "--store", long_report, "--model", "m1", "--reaction", "report",
+        "--format", fmt,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    logs = reference_logs(FileStore(long_report), "report")
+    assert len(logs) == 2
+    assert all(len(dumps_doc(log.body)) > csv.field_size_limit() for log in logs)
+    assert out == render(logs, log_table, fmt)
 
 
 # -- memory ------------------------------------------------------------------
