@@ -212,8 +212,10 @@ class _Lines(list):
 
 
 #: One field of a line that ``csv.writer`` wrote, as written (quoted when
-#: it holds a comma, a quote or a line break), and the comma after it.
-_CSV_FIELD = re.compile(r'((?:"[^"]*")+|[^,"]*),')
+#: it holds a comma, a quote or a line break), and the comma after it.  A
+#: pattern string: ``re`` compiles it on first use, so only a query that
+#: lays lines out again pays for that.
+_CSV_FIELD = r'((?:"[^"]*")+|[^,"]*),'
 
 
 def _emit(
@@ -269,7 +271,7 @@ def _emit(
         sys.stdout.writelines(
             line
             if layout == union
-            else ",".join(laid_out(_CSV_FIELD.findall(line[:-2] + ","), layout)) + "\r\n"
+            else ",".join(laid_out(re.findall(_CSV_FIELD, line[:-2] + ","), layout)) + "\r\n"
             for layout, line in zip(layouts, kept)
         )
         return

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import shutil
 import sys
 import tracemalloc
@@ -280,7 +281,7 @@ def test_a_written_line_splits_into_its_fields_as_written(cells: list[str]) -> N
     out = io.StringIO()
     csv.writer(out).writerow(cells)
     line = out.getvalue()
-    fields = _CSV_FIELD.findall(line[:-2] + ",")
+    fields = re.findall(_CSV_FIELD, line[:-2] + ",")
     assert ",".join(fields) + "\r\n" == line
     assert [next(csv.reader([f]))[0] if f else "" for f in fields] == cells
 
