@@ -403,15 +403,17 @@ class MonitoringService:
         """Evaluate a monitor for one day and persist the metric records.
 
         Drift monitors compare each quantity's current summary against its
-        stored baseline.  Performance monitors additionally need the daily
-        sales handle to realise actual velocities.  Records are computed
-        for every quantity before anything is written, so a bad input or a
-        missing baseline writes nothing.  The day is then written one
-        document per quantity, so a storage failure while writing can leave
-        part of the day stored.
+        stored baseline, and take no sales handle.  Performance monitors
+        need the daily sales handle to realise actual velocities.  Records
+        are computed for every quantity before anything is written, so a
+        bad input or a missing baseline writes nothing.  The day is then
+        written one document per quantity, so a storage failure while
+        writing can leave part of the day stored.
         """
         config = self.get_monitor(model_id, monitor_id)
         if config.kind is MonitorKind.DRIFT:
+            if sales is not None:
+                raise ValidationError("a drift monitor run takes no sales data (--sales)")
             records = self._run_drift(config, eval_date, data)
         else:
             records = self._run_performance(config, eval_date, data, sales)
@@ -724,25 +726,29 @@ class MonitoringService:
 
         Deleting a monitor removes its configuration and baselines but
         keeps its metric history; deleting a reaction keeps its logs.
-        Histories go away via the ``metrics`` and ``logs`` kinds.
+        Histories go away via the ``metrics`` and ``logs`` kinds.  The
+        ``monitor`` and ``metrics`` kinds take a ``monitor_id`` and no
+        ``reaction_id``; ``reaction`` and ``logs`` the other way round.
         """
         if kind not in _DELETABLE_KINDS:
             raise ValidationError(
                 f"cannot delete kind {kind!r}; expected one of {', '.join(_DELETABLE_KINDS)}"
             )
         _check_identifier("model_id", model_id)
-        if kind in ("monitor", "metrics"):
-            if not monitor_id:
-                raise ValidationError(f"deleting {kind} requires monitor_id")
-            _check_identifier("monitor_id", monitor_id)
-            if kind == "monitor":
-                removed = self.store.delete(self._baseline_prefix(model_id, monitor_id))
-                removed += int(self.store.remove(self._monitor_key(model_id, monitor_id)))
-                return removed
+        ids = {"monitor_id": monitor_id, "reaction_id": reaction_id}
+        selector, other = "monitor_id", "reaction_id"
+        if kind in ("reaction", "logs"):
+            selector, other = other, selector
+        if not ids[selector]:
+            raise ValidationError(f"deleting {kind} requires {selector}")
+        if ids[other] is not None:
+            raise ValidationError(f"deleting {kind} takes no {other}")
+        _check_identifier(selector, ids[selector])
+        if kind == "monitor":
+            removed = self.store.delete(self._baseline_prefix(model_id, monitor_id))
+            return removed + int(self.store.remove(self._monitor_key(model_id, monitor_id)))
+        if kind == "metrics":
             return self.store.delete(self._metrics_prefix(model_id, monitor_id))
-        if not reaction_id:
-            raise ValidationError(f"deleting {kind} requires reaction_id")
-        _check_identifier("reaction_id", reaction_id)
         if kind == "reaction":
             return int(self.store.remove(self._reaction_key(model_id, reaction_id)))
         return self.store.delete(self._log_prefix(model_id, reaction_id))

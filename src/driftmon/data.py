@@ -287,13 +287,15 @@ def assemble_velocity_pairs(
     """Join forecasts with realised 7-day velocities.
 
     Takes each unit predicted for ``forecast_date`` and averages its sales
-    over the window starting that day, treating absent unit-days as zero.
-    Returns ``(predicted, actual, excluded)``: two equal-length
-    ``array('d')`` of velocities, one entry per scored unit in the order
-    each unit first appears in the predictions file, and the count of
-    predicted units excluded because their prediction cell was blank.
-    Duplicate prediction rows for a unit keep the last one.  Every velocity
-    is finite and non-negative: ``_number`` rejects any other cell.
+    over the window starting that day, treating absent unit-days as zero:
+    its velocity is the sum of its in-window sales rows, in file order from
+    0.0, divided by ``VELOCITY_WINDOW_DAYS``.  Returns ``(predicted, actual,
+    excluded)``: two equal-length ``array('d')`` of velocities, one entry
+    per scored unit in the order each unit first appears in the predictions
+    file, and the count of predicted units excluded because their
+    prediction cell was blank.  Duplicate prediction rows for a unit keep
+    the last one.  Every velocity is finite and non-negative: ``_number``
+    rejects any other cell.
     """
     from .performance import VELOCITY_WINDOW_DAYS
 
@@ -302,10 +304,10 @@ def assemble_velocity_pairs(
     if sales.kind is not DatasetKind.DAILY_SALES:
         raise ValidationError("sales handle must be a daily_sales dataset")
 
-    # ISO day -> offset into the velocity window.
-    window = {
-        (forecast_date + timedelta(days=i)).isoformat(): i for i in range(VELOCITY_WINDOW_DAYS)
-    }
+    # The ISO days of the velocity window, in order.
+    window = dict.fromkeys(
+        (forecast_date + timedelta(days=i)).isoformat() for i in range(VELOCITY_WINDOW_DAYS)
+    )
 
     # During the predictions pass ``index`` maps each unit to its last
     # prediction, None when that cell was blank; after it, each scored unit
@@ -349,70 +351,32 @@ def assemble_velocity_pairs(
     # or goes.
     index.update(zip(index, range(len(predicted))))
 
-    # Per window day, the in-window sales of scored units, summed in file
-    # order.  A day keeps them as flat rows (the unit's position in
-    # ``predicted`` and the units sold, 12 bytes a row, in ``_mapped``
-    # memory) while they number at most a quarter of the scored units: 3
-    # bytes a unit against the 8 of a buffer of one sum per scored unit,
-    # so a sparse window holds little beside the index.  A day with more
-    # rows sums them into its buffer and adds to that from then on, so
-    # however many rows repeat a unit-day, a day holds at most its buffer
-    # and, while it sums them, its flat rows.  Sales of other units are
-    # still checked, so a bad cell in the window fails wherever it sits,
-    # but not kept; a cell outside the window is never read.
-    n = len(predicted)
-    dense = n // 4
-    room = dense + _BLOCK_ROWS  # a block adds at most _BLOCK_ROWS rows
-    slots = [_mapped("i", room) for _ in window]
-    amounts = [_mapped("d", room) for _ in window]
-    held = [0 for _ in window]
-    sold: list[array | None] = [None for _ in window]
-
-    def fold(day: int) -> None:
-        sold[day] = _sums(slots[day][: held[day]], amounts[day][: held[day]], n)
-        slots[day] = amounts[day] = _NOTHING  # closes the day's maps
-
+    # Each scored unit's in-window sales, summed in file order from 0.0.
+    # Sales of other units are still checked, so a bad cell in the window
+    # fails wherever it sits, but not kept; a cell outside the window is
+    # never read.
+    sold = array("d", [0.0]) * len(predicted)
     dates_seen: set[str] = set()
     position = index.get
     for first, (dates, units, cells) in _column_blocks(sales, ("date", "unit_id", "units")):
         dates = list(map(str.strip, dates))
-        offsets = list(map(window.get, dates))
+        inside = list(map(window.__contains__, dates))
         values = _floats(cells, non_negative=True) if all(dates) else None
         if values is None:
             # Row by row: a blank date fails anywhere, a cell only in the window.
             values = []
-            for row, (day, offset, cell) in enumerate(zip(dates, offsets, cells), first):
+            for row, (day, kept, cell) in enumerate(zip(dates, inside, cells), first):
                 if not day:
                     raise _error(sales, row, "missing date")
                 values.append(
-                    None
-                    if offset is None
-                    else _number(sales, row, "units", cell.strip(), non_negative=True)
+                    _number(sales, row, "units", cell.strip(), non_negative=True) if kept else None
                 )
         dates_seen.update(dates)
-        at = list(map(position, map(str.strip, units)))
-        # A sale of zero, checked, is not kept: a sum starts at 0.0 and
-        # holds no negative value, so adding a zero leaves its bits as they are.
-        if None in at or None in offsets or 0.0 in values:
-            kept = [
-                i is not None and offset is not None and value != 0.0
-                for i, offset, value in zip(at, offsets, values)
-            ]
-            at, offsets, values = (compress(column, kept) for column in (at, offsets, values))
-        for i, day, value in zip(at, offsets, values):
-            sums = sold[day]
-            if sums is None:
-                k = held[day]
-                slots[day][k] = i
-                amounts[day][k] = value
-                held[day] = k + 1
-            else:
-                sums[i] += value
-        for day in range(len(window)):
-            if sold[day] is None and held[day] > dense:
-                fold(day)
+        for i, value in compress(zip(map(position, map(str.strip, units)), values), inside):
+            if i is not None:
+                sold[i] += value
     # The index is the largest buffer; drop it, and the bound method that
-    # keeps it alive, before the remaining day sums grow.
+    # keeps it alive, before the velocities are laid out.
     del index, position
 
     missing_days = [d for d in window if d not in dates_seen]
@@ -421,34 +385,6 @@ def assemble_velocity_pairs(
             f"sales data covers no rows at all for day(s) {missing_days}; "
             f"the {VELOCITY_WINDOW_DAYS}-day window from {target} is incomplete"
         )
-
-    for day in range(len(window)):
-        if sold[day] is None:
-            fold(day)
-    actual = array("d", map(truediv, map(math.fsum, zip(*sold)), repeat(VELOCITY_WINDOW_DAYS)))
+    actual = array("d", map(truediv, sold, repeat(VELOCITY_WINDOW_DAYS)))
     return predicted, actual, len(blank)
 
-
-#: Stands in for a summed day's flat rows, so nothing keeps their maps open.
-_NOTHING = memoryview(b"")
-
-
-def _mapped(typecode: str, size: int) -> memoryview:
-    """``size`` zeroed items of ``typecode`` in an anonymous memory map.
-
-    Its pages count towards the process only once written, and go back to
-    the system when the last view is dropped.  Freed heap memory often
-    stays with the process instead, so flat rows summed into a day's
-    buffer would leave their room behind beside it.
-    """
-    import mmap  # only a forecast join keeps flat rows
-
-    return memoryview(mmap.mmap(-1, size * array(typecode).itemsize)).cast(typecode)
-
-
-def _sums(slots: Sequence[int], amounts: Sequence[float], n: int) -> array:
-    """Sum ``amounts`` into ``n`` slots, each in the order given, from 0.0."""
-    sums = array("d", [0.0]) * n
-    for i, value in zip(slots, amounts):
-        sums[i] += value
-    return sums

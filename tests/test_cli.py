@@ -876,6 +876,25 @@ class TestDeleteCommand:
         assert code == EXIT_USAGE
         assert "monitor" in err
 
+    @pytest.mark.parametrize(
+        "kind,ids,foreign",
+        [
+            ("monitor", ("--monitor", "d1", "--reaction", "zz"), "reaction_id"),
+            ("metrics", ("--monitor", "d1", "--reaction", "zz"), "reaction_id"),
+            ("reaction", ("--reaction", "r1", "--monitor", "d1"), "monitor_id"),
+            ("logs", ("--reaction", "r1", "--monitor", "d1"), "monitor_id"),
+        ],
+    )
+    def test_an_id_the_kind_does_not_take_is_a_usage_error(
+        self, workspace, cli, kind: str, ids: tuple[str, ...], foreign: str
+    ) -> None:
+        store, _ = workspace
+        before = sorted(Path(store).rglob("*"))
+        code, out, err = cli("delete", "--store", store, "--kind", kind, "--model", "m1", *ids)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"deleting {kind} takes no {foreign}" in err
+        assert sorted(Path(store).rglob("*")) == before
+
 
 class TestSynthCommand:
     def test_writes_three_files(self, tmp_path: Path, cli) -> None:
@@ -969,20 +988,15 @@ class TestRunMonitorCommand:
         assert code == EXIT_OK, err
         assert reads.count("model/m1/monitor/d1") == 1
 
-    def test_drift_run_ignores_a_valid_sales_file(self, workspace, cli) -> None:
+    def test_drift_run_rejects_a_valid_sales_file(self, workspace, cli) -> None:
+        """A drift monitor takes no sales: the run is a usage error naming
+        the flag, and stores nothing."""
         store, data = workspace
-
-        def masked(out: str) -> list[dict]:
-            docs = [loads_doc(line) for line in out.splitlines()]
-            for doc in docs:
-                del doc["context"]["computed_at"]
-            return docs
-
-        plain = self.run(cli, store, data)
-        with_sales = self.run(cli, store, data, "--sales", str(data / "sales.csv"))
-        assert plain[0] == with_sales[0] == EXIT_OK
-        assert masked(with_sales[1]) == masked(plain[1])
-        assert len(masked(plain[1])) == 2
+        code, out, err = self.run(cli, store, data, "--sales", str(data / "sales.csv"))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--sales" in err
+        assert not Path(store, "model", "m1", "monitor", "d1", "metrics", "2022-03-21").exists()
+        assert self.run(cli, store, data)[0] == EXIT_OK
 
     def test_drift_run_opens_a_given_sales_file(self, workspace, cli) -> None:
         store, data = workspace

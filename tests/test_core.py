@@ -257,6 +257,19 @@ class TestRunDriftMonitor:
             service.run_monitor("m1", "d1", FORECAST, open_dataset(data, "daily_inference"))
         assert store.list(StoreKey.parse("model/m1/monitor/d1/metrics")) == []
 
+    def test_sales_handle_is_rejected_before_any_read(
+        self, drift_setup: Path, service: MonitoringService, store: FileStore, tmp_path: Path
+    ) -> None:
+        """A drift run takes no sales: naming some is a usage error raised
+        before either file is read, so neither has to exist any more."""
+        data = open_dataset(write_predictions(tmp_path / "day.csv", [1.0]), "daily_inference")
+        sales = open_dataset(write_sales(tmp_path / "sales.csv", {"u000": 1.0}), "daily_sales")
+        data.path.unlink()
+        sales.path.unlink()
+        with pytest.raises(ValidationError, match="--sales"):
+            service.run_monitor("m1", "d1", FORECAST, data, sales)
+        assert store.list(StoreKey.parse("model/m1/monitor/d1/metrics")) == []
+
     def test_identity_run_reports_no_drift(
         self, drift_setup: Path, service: MonitoringService
     ) -> None:
@@ -894,6 +907,23 @@ class TestDelete:
         before = [k.render() for k in store.list(StoreKey.of("model", "m1"))]
         with pytest.raises(ValidationError, match=f"deleting {kind} requires {selector}"):
             populated.delete(kind, model_id="m1")
+        assert [k.render() for k in store.list(StoreKey.of("model", "m1"))] == before
+
+    @pytest.mark.parametrize(
+        "kind,foreign",
+        [
+            ("monitor", "reaction_id"),
+            ("metrics", "reaction_id"),
+            ("reaction", "monitor_id"),
+            ("logs", "monitor_id"),
+        ],
+    )
+    def test_an_id_the_kind_does_not_take_is_rejected(
+        self, populated: MonitoringService, store: FileStore, kind: str, foreign: str
+    ) -> None:
+        before = [k.render() for k in store.list(StoreKey.of("model", "m1"))]
+        with pytest.raises(ValidationError, match=f"deleting {kind} takes no {foreign}"):
+            populated.delete(kind, model_id="m1", monitor_id="d1", reaction_id="r1")
         assert [k.render() for k in store.list(StoreKey.of("model", "m1"))] == before
 
     def test_deleting_nothing_returns_zero(self, service: MonitoringService) -> None:

@@ -303,11 +303,14 @@ class TestAssembleVelocityPairs:
             scores.append((mae(predicted, actual).hex(), wmape(predicted, actual).hex()))
         assert scores[1:] == scores[:1] * 2
 
-    def test_memory_per_unit_stays_flat(self, tmp_path: Path) -> None:
-        """The result holds two doubles per unit, and the call's peak is
-        one index entry plus seven day slots per unit, not Python objects."""
+    @staticmethod
+    def traced_join(out: Path, density: float) -> tuple[int, float, float]:
+        """(units, held, peak): what one join of a 2e4-unit ``synth`` day at
+        ``density`` leaves allocated and peaks at, in traced B/unit."""
         n = 20_000
-        _, inference, sales = generate_synthetic(SynthSpec(n_units=n, seed=5), tmp_path)
+        _, inference, sales = generate_synthetic(
+            SynthSpec(n_units=n, density=density, seed=5), out
+        )
         gc.collect()
         tracemalloc.start()
         try:
@@ -316,18 +319,28 @@ class TestAssembleVelocityPairs:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result[0]) == n
-        assert (held - base) / n <= 32, f"result holds {(held - base) / n:.1f} B/unit"
-        assert (peak - base) / n <= 270, f"call peaks at {(peak - base) / n:.1f} B/unit"
+        return len(result[0]), (held - base) / n, (peak - base) / n
+
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_memory_per_unit_stays_flat(self, tmp_path: Path, density: float) -> None:
+        """The result holds two doubles per unit, and the call's peak is
+        one index entry plus one sum per unit, not Python objects, however
+        dense the sales: with every unit selling, it stays within 8 B/unit of
+        sparse sales."""
+        n, held, peak = self.traced_join(tmp_path / "days", density)
+        assert n == 20_000
+        assert held <= 32, f"result holds {held:.1f} B/unit"
+        assert peak <= 270, f"call peaks at {peak:.1f} B/unit"
+        sparse = peak if density == 0.3 else self.traced_join(tmp_path / "sparse", 0.3)[2]
+        assert peak - sparse <= 8, f"peaks at {peak:.1f} B/unit against {sparse:.1f} sparse"
 
     @pytest.mark.parametrize("block_rows", [1, 16, 256])
     def test_days_that_outgrow_flat_rows_keep_file_order_sums(
         self, tmp_path: Path, block_rows: int
     ) -> None:
-        """A day with more rows than a quarter of the scored units moves to
-        a dense buffer partway through the file; every day still sums its
-        unit's sales in file order, zeros included, from 0.0, as a plain
-        loop does."""
+        """Whatever the block size, each unit's velocity is its in-window
+        sales summed in file order from 0.0, zeros of either sign included,
+        and divided by 7, as a plain loop does."""
         rng = random.Random(3)
         units = [f"u{i}" for i in range(40)]
         lines = [
@@ -335,11 +348,11 @@ class TestAssembleVelocityPairs:
             for day in self.WINDOW[1:]
             for _ in range(48)
         ]
-        # The first day stays flat: 9 rows, under 40 // 4.
+        # The first day holds fewer rows, over fewer units.
         lines += [
             f"{rng.choice(units[:3])},{self.WINDOW[0]},{rng.uniform(0, 1e3)!r}" for _ in range(9)
         ]
-        # Zero sales, of either sign, are checked but add nothing.
+        # Zero sales, of either sign, add nothing.
         lines += [
             f"{unit},{day},{zero}"
             for unit in units[::5]
@@ -352,19 +365,19 @@ class TestAssembleVelocityPairs:
             PREDICTION_HEADER + "".join(f"{unit},2022-03-20,1.0,0.0\n" for unit in units),
             SALES_HEADER + "\n".join(lines) + "\n",
         )
-        sums = {(unit, day): 0.0 for unit in units for day in self.WINDOW}
+        sums = dict.fromkeys(units, 0.0)
         for line in lines:
-            unit, day, value = line.split(",")
-            sums[unit, day] += float(value)
-        expected = [math.fsum(sums[unit, day] for day in self.WINDOW) / 7 for unit in units]
+            unit, _, value = line.split(",")
+            sums[unit] += float(value)
+        expected = [sums[unit] / 7 for unit in units]
         with mock.patch("driftmon.data._BLOCK_ROWS", block_rows):
             _, actual, _ = assemble_velocity_pairs(pred, sales, self.FORECAST)
         assert [v.hex() for v in actual] == [v.hex() for v in expected]
 
     def test_repeated_unit_day_rows_do_not_grow_the_peak(self, tmp_path: Path) -> None:
         """A sales file that lists every unit-day three times peaks within
-        the bound of a sparse one: each window day holds at most its dense
-        buffer, whatever its row count."""
+        the bound of a sparse one: rows are summed as they are read, so
+        nothing grows with their count."""
         n = 5_000
         _, inference, _ = generate_synthetic(SynthSpec(n_units=n, seed=5), tmp_path)
         units = [f"u{i:04d}" for i in range(1, n + 1)]
@@ -512,7 +525,7 @@ def reference_blocks(handle, columns, block_rows):
 
 
 def reference_assemble(predictions, sales, forecast_date):
-    window = {(forecast_date + timedelta(days=i)).isoformat(): i for i in range(7)}
+    window = [(forecast_date + timedelta(days=i)).isoformat() for i in range(7)]
     index = {}
     predicted = array("d")
     target = forecast_date.isoformat()
@@ -533,19 +546,18 @@ def reference_assemble(predictions, sales, forecast_date):
             predicted.append(value)
         else:
             predicted[i] = value
-    slots = array("d", [0.0]) * (7 * len(predicted))
+    slots = array("d", [0.0]) * len(predicted)
     dates_seen = set()
     for line, (day, unit, cell) in reference_rows(sales, ("date", "unit_id", "units")):
         if not day:
             raise SchemaError(f"{sales.path}:{line}: missing date")
         dates_seen.add(day)
-        offset = window.get(day)
-        if offset is None:
+        if day not in window:
             continue
         units = reference_number(sales, line, "units", cell, non_negative=True)
         i = index.get(unit)
         if i is not None:
-            slots[i * 7 + offset] += units
+            slots[i] += units
     missing_days = [d for d in window if d not in dates_seen]
     if missing_days:
         raise PreconditionError(
@@ -557,7 +569,7 @@ def reference_assemble(predictions, sales, forecast_date):
     for i, value in enumerate(predicted):
         if not math.isnan(value):
             scored.append(value)
-            actual.append(math.fsum(slots[i * 7 : (i + 1) * 7]) / 7)
+            actual.append(slots[i] / 7)
     return scored, actual, len(predicted) - len(scored)
 
 
