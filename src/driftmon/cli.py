@@ -29,7 +29,7 @@ from .core import (
     ReactionKind,
 )
 from .errors import MonitoringError, StorageError, ValidationError
-from .store import FileStore, dumps_doc, format_real
+from .store import FileStore, dumps_doc
 
 __all__ = ["build_parser", "main"]
 
@@ -174,8 +174,6 @@ def _data_path(args: argparse.Namespace, name: str) -> Path:
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format_real(value)
     return str(value)
 
 

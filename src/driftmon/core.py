@@ -6,7 +6,7 @@ reactions, never written directly.  All state lives under hierarchical keys::
 
     model/{model_id}
     model/{model_id}/monitor/{monitor_id}
-    model/{model_id}/monitor/{monitor_id}/baseline/{quantity}
+    model/{model_id}/monitor/{monitor_id}/baseline
     model/{model_id}/monitor/{monitor_id}/metrics/{eval_date}/{quantity}
     model/{model_id}/reaction/{reaction_id}
     model/{model_id}/reaction/{reaction_id}/log/{timestamp}
@@ -44,6 +44,9 @@ __all__ = [
 DEFAULT_EPSILON = 0.001
 DEFAULT_CDF_POINTS = 100
 DEFAULT_DENSITY_BINS = 100
+#: Largest ``cdf_points`` and ``density_bins``: a thousand times the
+#: defaults, and far from a grid too large to allocate.
+MAX_RESOLUTION = 10**5
 
 #: Summary resolution fields of a drift monitor; a performance monitor
 #: keeps them at these values.
@@ -121,14 +124,16 @@ class MonitorConfig(Record):
     def __post_init__(self) -> None:
         _check_identifier("monitor_id", self.monitor_id)
         _check_identifier("model_id", self.model_id)
-        # The types the sketch and the summary grid take, so that a stored
-        # monitor never runs at another resolution than it names.
+        # The types and sizes the sketch and the summary grid take, so that a
+        # stored monitor never runs at another resolution than it names.
         if not isinstance(self.epsilon, float):
             raise ValidationError(f"epsilon must be a float, got {self.epsilon!r}")
-        for name in ("cdf_points", "density_bins"):
+        for name, low in (("cdf_points", 2), ("density_bins", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if not low <= value <= MAX_RESOLUTION:
+                raise ValidationError(f"{name} must be in [{low}, {MAX_RESOLUTION}], got {value!r}")
         if self.kind is MonitorKind.DRIFT:
             if not self.quantities:
                 raise ValidationError("a drift monitor needs at least one quantity")
@@ -138,10 +143,6 @@ class MonitorConfig(Record):
                     raise ValidationError(f"quantity {q!r} is listed more than once")
             if not 0.0 < self.epsilon <= 0.5:
                 raise ValidationError(f"epsilon must be in (0, 0.5], got {self.epsilon!r}")
-            if self.cdf_points < 2:
-                raise ValidationError(f"cdf_points must be >= 2, got {self.cdf_points!r}")
-            if self.density_bins < 1:
-                raise ValidationError(f"density_bins must be >= 1, got {self.density_bins!r}")
         elif self.quantities:
             raise ValidationError("a performance monitor takes no quantities")
         else:
@@ -236,6 +237,21 @@ def _metric_place(record: MetricRecord) -> tuple[str, str]:
     return record.eval_date.isoformat(), record.quantity
 
 
+def _baselines_by_label(doc: Any) -> dict[str, ApproxCdf]:
+    """A monitor's stored baselines by quantity: the document is a list of
+    summaries, and a quantity listed twice makes it corrupt."""
+    from .summary import ApproxCdf
+
+    if doc.__class__ is not list:
+        raise ValueError("a baseline document must be a list of summaries")
+    baselines: dict[str, ApproxCdf] = {}
+    for cdf in map(ApproxCdf.from_doc, doc):
+        if cdf.label in baselines:
+            raise ValueError(f"quantity {cdf.label!r} is listed twice")
+        baselines[cdf.label] = cdf
+    return baselines
+
+
 def _log_name(ts: datetime) -> str:
     """The key name of a log created at ``ts``: its UTC time to the
     microsecond, ``%Y%m%dT%H%M%S.%fZ`` with a four-digit year, which sorts
@@ -285,7 +301,7 @@ class MonitoringService:
         return StoreKey.of("model", model_id, "monitor", monitor_id)
 
     @classmethod
-    def _baseline_prefix(cls, model_id: str, monitor_id: str) -> StoreKey:
+    def _baseline_key(cls, model_id: str, monitor_id: str) -> StoreKey:
         return cls._monitor_key(model_id, monitor_id).child("baseline")
 
     @classmethod
@@ -311,7 +327,9 @@ class MonitoringService:
             return None
         try:
             return decode(loads_doc(body))
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (
+            AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError
+        ) as exc:
             raise StorageError(f"corrupt document {key}: {exc!r}") from exc
 
     # -- models ----------------------------------------------------------
@@ -351,7 +369,8 @@ class MonitoringService:
         self, model_id: str, monitor_id: str, training: DatasetHandle
     ) -> list[ApproxCdf]:
         """Summarise every configured quantity of the training data in one
-        pass and persist the summaries as the monitor's baselines."""
+        pass and persist the summaries as the monitor's baselines, in one
+        document: a snapshot replaces the previous one whole or not at all."""
         config = self.get_monitor(model_id, monitor_id)
         if config.kind is not MonitorKind.DRIFT:
             raise PreconditionError(
@@ -359,11 +378,10 @@ class MonitoringService:
                 f"only drift monitors take baselines"
             )
         summaries = self._summarise(training, config)
-        for cdf in summaries:
-            self.store.put(
-                self._baseline_prefix(model_id, monitor_id).child(cdf.label),
-                dumps_doc(cdf.to_doc()),
-            )
+        self.store.put(
+            self._baseline_key(model_id, monitor_id),
+            dumps_doc([cdf.to_doc() for cdf in summaries]),
+        )
         return summaries
 
     @staticmethod
@@ -428,21 +446,14 @@ class MonitoringService:
         self, config: MonitorConfig, eval_date: date, data: DatasetHandle
     ) -> list[MetricRecord]:
         from .drift import drift_evaluate
-        from .summary import ApproxCdf
 
-        baselines: dict[str, ApproxCdf] = {}
+        key = self._baseline_key(config.model_id, config.monitor_id)
+        baselines = self._load(key, _baselines_by_label) or {}
         for quantity in config.quantities:
-            key = self._baseline_prefix(config.model_id, config.monitor_id).child(quantity)
-            baseline = self._load(key, ApproxCdf.from_doc)
-            if baseline is None:
+            if quantity not in baselines:
                 raise PreconditionError(
                     f"no baseline for quantity {quantity!r}; run snapshot-baseline first"
                 )
-            if baseline.label != quantity:
-                raise StorageError(
-                    f"corrupt document {key}: label {baseline.label!r} is not its quantity"
-                )
-            baselines[quantity] = baseline
         computed_at = _iso_seconds(_now())
         records = []
         for current in self._summarise(data, config):
@@ -745,7 +756,7 @@ class MonitoringService:
             raise ValidationError(f"deleting {kind} takes no {other}")
         _check_identifier(selector, ids[selector])
         if kind == "monitor":
-            removed = self.store.delete(self._baseline_prefix(model_id, monitor_id))
+            removed = self.store.delete(self._baseline_key(model_id, monitor_id))
             return removed + int(self.store.remove(self._monitor_key(model_id, monitor_id)))
         if kind == "metrics":
             return self.store.delete(self._metrics_prefix(model_id, monitor_id))

@@ -5,7 +5,7 @@ document on disk (segments become directories, the last segment a file).
 Writes go to a temp file first: ``put`` replaces atomically with
 ``os.replace``, and ``create`` links the temp file in with ``os.link``,
 which fails rather than overwrite.  The serialization is canonical (sorted
-keys, 17-significant-digit reals), so re-serialising an unchanged record is
+keys, reals as ``repr``), so re-serialising an unchanged record is
 byte-identical.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import re
 import shutil
@@ -28,7 +27,6 @@ __all__ = [
     "FileStore",
     "dumps_doc",
     "loads_doc",
-    "format_real",
 ]
 
 #: One key segment, matched whole.  ``.`` and ``..`` are excluded because a
@@ -73,67 +71,57 @@ class StoreKey(Record):
         return self.render()
 
 
-def format_real(x: float) -> str:
-    """Render a float with 17 significant digits (lossless round trip).
-
-    Integral values keep a trailing ``.0`` so the type survives a parse.
-    """
-    if not math.isfinite(x):
-        raise ValidationError(f"cannot serialise non-finite real {x!r}")
-    text = format(x, ".17g")
-    if not any(c in text for c in ".eE"):
-        text += ".0"
-    return text
+def _reject_type(value: Any) -> NoReturn:
+    raise TypeError(f"cannot serialise value of type {type(value).__name__}")
 
 
-def _write_value(value: Any, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(repr(value))
-    elif isinstance(value, float):
-        out.append(format_real(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, k in enumerate(sorted(value)):
-            if not isinstance(k, str):
-                raise ValidationError(f"document keys must be strings, got {k!r}")
-            if i:
-                out.append(", ")
-            out.append(json.dumps(k, ensure_ascii=False))
-            out.append(": ")
-            _write_value(value[k], out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(", ")
-            _write_value(item, out)
-        out.append("]")
-    else:
-        raise ValidationError(f"cannot serialise value of type {type(value).__name__}")
+#: One encoder, built once: ``json.dumps`` with these options would build
+#: one per call.  Without the circular check, a cycle fails as nesting does.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True,
+    ensure_ascii=False,
+    allow_nan=False,
+    check_circular=False,
+    default=_reject_type,
+)
+
+
+def _check_keys(value: Any) -> None:
+    """Reject a non-string key at any depth: ``json`` would write
+    ``{1: "a"}`` as ``{"1": "a"}``.  Called once ``value`` has encoded, so
+    it holds no cycle and no nesting past the recursion limit."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict):
+            for key in item:
+                if not isinstance(key, str):
+                    raise ValidationError(f"document keys must be strings, got {key!r}")
+            item = item.values()
+        elif not isinstance(item, (list, tuple)):
+            continue
+        pending += [v for v in item if isinstance(v, (dict, list, tuple))]
 
 
 def dumps_doc(value: Any) -> str:
     """Serialise to canonical single-line JSON with a trailing newline."""
-    out: list[str] = []
-    _write_value(value, out)
-    out.append("\n")
-    return "".join(out)
+    try:
+        body = _ENCODER.encode(value)
+    except RecursionError as exc:
+        raise ValidationError("cannot serialise a value nested this deeply") from exc
+    except TypeError as exc:
+        raise ValidationError(str(exc)) from exc
+    except ValueError as exc:
+        raise ValidationError(f"cannot serialise a non-finite or oversized number: {exc}") from exc
+    _check_keys(value)
+    return body + "\n"
 
 
 def _reject_constant(name: str) -> NoReturn:
     raise ValueError(f"non-finite number {name} in a document")
 
 
-#: ``json.loads`` accepts ``NaN`` and ``Infinity``, which ``format_real``
+#: ``json.loads`` accepts ``NaN`` and ``Infinity``, which ``dumps_doc``
 #: never writes.  One decoder is built here: passing ``parse_constant`` to
 #: ``json.loads`` would build one per call.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
@@ -206,7 +194,7 @@ class FileStore:
         file; returns the temp file's path and the document's."""
         try:
             loads_doc(body)
-        except (TypeError, ValueError) as exc:
+        except (RecursionError, TypeError, ValueError) as exc:
             raise ValidationError(f"body for {key} is not a well-formed document: {exc}") from exc
         path = self._file_path(key)
         parent = os.path.dirname(path)

@@ -314,7 +314,8 @@ def test_criterion_8_cli_lifecycle(verdict, tmp_path: Path, capfd) -> None:
         assert _removed_count(run(*base, "--kind", "logs", "--reaction", "r1")) == 1
         assert _removed_count(run(*base, "--kind", "reaction", "--reaction", "r1")) == 1
         assert _removed_count(run(*base, "--kind", "metrics", "--monitor", "d1")) == 2
-        assert _removed_count(run(*base, "--kind", "monitor", "--monitor", "d1")) == 3
+        # The monitor's configuration and its one baseline document.
+        assert _removed_count(run(*base, "--kind", "monitor", "--monitor", "d1")) == 2
         assert [k.render() for k in store.list(StoreKey.parse("model"))] == ["model/m1"]
 
         elapsed = time.perf_counter() - start

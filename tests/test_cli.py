@@ -233,10 +233,10 @@ class TestExitCodes:
     def test_non_finite_baseline_breakpoint_is_an_io_error(self, workspace, cli, bad) -> None:
         """``json`` reads ``NaN`` and ``Infinity``; the store does not."""
         store, data = workspace
-        key = "model/m1/monitor/d1/baseline/f1"
+        key = "model/m1/monitor/d1/baseline"
         path = Path(store, key + ".json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["breakpoints"][-1] = bad
+        doc[0]["breakpoints"][-1] = bad
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = cli(
             "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
@@ -316,6 +316,33 @@ class TestExitCodes:
         assert "cdf_points" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["cdf_points", "density_bins"])
+    def test_resolution_past_the_bound_is_rejected(self, workspace, cli, field) -> None:
+        """A resolution too large to build a grid for is a usage error when
+        set and a corrupt document when stored; no grid is allocated."""
+        store, data = workspace
+        code, out, err = cli(
+            "set-monitor", "--store", store, "--model", "m1", "--id", "d2",
+            "--kind", "drift", "--quantities", "f1", f"--{field.replace('_', '-')}", str(10**400),
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{field} must be in" in err
+        assert "Traceback" not in err
+        assert not Path(store, "model/m1/monitor/d2.json").exists()
+        key = "model/m1/monitor/d1"
+        path = Path(store, key + ".json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["parameters"][field] = 10**400
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = cli(
+            "snapshot-baseline", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--data", str(data / "training.csv"),
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert f"corrupt document {key}" in err
+        assert field in err
+        assert "Traceback" not in err
+
     def test_stored_document_that_is_not_utf8_is_an_io_error(self, workspace, cli) -> None:
         store, _ = workspace
         with open(Path(store, "model", "m1.json"), "ab") as handle:
@@ -355,17 +382,56 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "not an ISO date" in err
 
-    def test_baseline_under_another_quantitys_key_is_an_io_error(self, workspace, cli) -> None:
+    def test_baseline_listing_a_quantity_twice_is_an_io_error(self, workspace, cli) -> None:
         store, data = workspace
-        key = "model/m1/monitor/d1/baseline/f1"
-        baselines = Path(store, "model/m1/monitor/d1/baseline")
-        shutil.copyfile(baselines / "prediction.json", baselines / "f1.json")
+        key = "model/m1/monitor/d1/baseline"
+        path = Path(store, key + ".json")
+        f1, prediction = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps([f1, prediction, {**prediction, "sample_count": 3}]))
         code, out, err = cli(
             "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
             "--date", "2022-03-21", "--data", str(data / "inference.csv"),
         )
         assert (code, out) == (EXIT_IO, "")
         assert f"corrupt document {key}" in err
+        assert "'prediction' is listed twice" in err
+        assert "Traceback" not in err
+
+    def test_baselines_of_the_per_quantity_layout_are_missing(self, workspace, cli) -> None:
+        """A store written when each quantity had its own baseline document
+        has no baseline document: a drift run asks for a new snapshot."""
+        store, data = workspace
+        monitor = Path(store, "model/m1/monitor/d1")
+        baselines = json.loads((monitor / "baseline.json").read_text(encoding="utf-8"))
+        (monitor / "baseline.json").unlink()
+        (monitor / "baseline").mkdir()
+        for doc in baselines:
+            (monitor / "baseline" / f"{doc['label']}.json").write_text(dumps_doc(doc))
+        code, out, err = cli(
+            "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--date", "2022-03-21", "--data", str(data / "inference.csv"),
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "no baseline for quantity 'f1'; run snapshot-baseline first" in err
+        code, out, _ = cli(
+            "delete", "--store", store, "--kind", "monitor", "--model", "m1", "--monitor", "d1",
+        )
+        assert code == EXIT_OK
+        assert "3" in out  # config + the 2 old baselines
+        assert not (monitor / "baseline").exists()
+
+    def test_deeply_nested_document_is_an_io_error(self, workspace, cli) -> None:
+        """Nesting past the JSON decoder's recursion limit is corrupt, not a
+        ``RecursionError`` traceback."""
+        store, data = workspace
+        key = "model/m1/monitor/d1"
+        Path(store, key + ".json").write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+        code, out, err = cli(
+            "snapshot-baseline", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--data", str(data / "training.csv"),
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert f"corrupt document {key}: RecursionError" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -471,7 +537,7 @@ class TestWrongTypesInStoredDocuments:
         ]:
             assert cli(*step)[0] == EXIT_OK
         key = {
-            "baseline": "model/m1/monitor/d1/baseline/f1",
+            "baseline": "model/m1/monitor/d1/baseline",
             "monitor": "model/m1/monitor/d1",
             "threshold": "model/m1/reaction/threshold",
             "report": "model/m1/reaction/report",
@@ -483,8 +549,10 @@ class TestWrongTypesInStoredDocuments:
             key += "/" + path.stem
         path = Path(store, key + ".json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert field in doc
-        doc.update({field: value, **others})
+        # A baseline document lists the monitor's quantities; f1 is first.
+        target = doc[0] if document == "baseline" else doc
+        assert field in target
+        target.update({field: value, **others})
         path.write_text(json.dumps(doc), encoding="utf-8")
         argv = {
             "run-monitor": ("--monitor", "d1", "--date", "2022-03-21", "--data",
@@ -842,7 +910,7 @@ class TestDeleteCommand:
             "--model", "m1", "--monitor", "d1",
         )
         assert code == EXIT_OK
-        assert "3" in out  # config + 2 baselines
+        assert "2" in out  # config + one baseline document of 2 quantities
         code, out, _ = cli(
             "get-metrics", "--store", store, "--model", "m1", "--monitor", "d1",
             "--from", "2022-03-20", "--to", "2022-03-20", "--format", "doc",

@@ -3,6 +3,7 @@ reactions, and logs over the document store."""
 
 from __future__ import annotations
 
+import os
 import time
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
@@ -26,6 +27,7 @@ from driftmon import (
     ReactionKind,
     SchemaError,
     Severity,
+    StorageError,
     StoreKey,
     ValidationError,
     build_cdf,
@@ -148,6 +150,12 @@ class TestMonitorConfig:
             MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1",), cdf_points=0)
         with pytest.raises(ValidationError, match="density_bins"):
             MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1",), density_bins=-1)
+        # Bounded above before any grid is built.
+        for field in ("cdf_points", "density_bins"):
+            MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1",), **{field: 10**5})
+            for value in (10**5 + 1, 10**400):
+                with pytest.raises(ValidationError, match=f"{field} must be in"):
+                    MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1",), **{field: value})
 
     @pytest.mark.parametrize(
         "field,value",
@@ -173,19 +181,52 @@ class TestSnapshotBaseline:
         summaries = service.snapshot_baseline("m1", "d1", open_dataset(train, "training"))
         assert [s.label for s in summaries] == ["f1", "prediction"]
         assert all(s.sample_count == 4 for s in summaries)
-        keys = store.list(StoreKey.parse("model/m1/monitor/d1/baseline"))
-        assert [k.render() for k in keys] == [
-            "model/m1/monitor/d1/baseline/f1",
-            "model/m1/monitor/d1/baseline/prediction",
-        ]
+        key = StoreKey.parse("model/m1/monitor/d1/baseline")
+        assert store.list(key) == [key]
+        assert loads_doc(store.get(key)) == [s.to_doc() for s in summaries]
 
     def test_snapshot_is_deterministic_for_identical_data(
         self, drift_setup: Path, service: MonitoringService, store: FileStore
     ) -> None:
-        key = StoreKey.parse("model/m1/monitor/d1/baseline/f1")
+        key = StoreKey.parse("model/m1/monitor/d1/baseline")
         first = store.get(key)
         service.snapshot_baseline("m1", "d1", open_dataset(drift_setup, "training"))
         assert store.get(key) == first
+
+    def test_a_failed_snapshot_keeps_every_previous_baseline(
+        self, service: MonitoringService, store: FileStore, tmp_path: Path, monkeypatch
+    ) -> None:
+        """A storage failure at a snapshot's last write leaves every
+        quantity's previous baseline byte-identical, never a mix of old
+        baselines and new ones."""
+        old = write_predictions(tmp_path / "old.csv", [1.0, 2.0, 3.0], eval_date="2022-03-07")
+        new = write_predictions(tmp_path / "new.csv", [4.0, 5.0, 6.0, 7.0], eval_date="2022-03-07")
+        service.register_model("m1")
+        service.set_monitor(
+            MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1", "prediction"), cdf_points=4)
+        )
+        replace, replaced = os.replace, []
+
+        def counted(src, dst) -> None:
+            replaced.append(dst)
+            if len(replaced) == 2 * writes:
+                raise OSError(28, "No space left on device")
+            replace(src, dst)
+
+        writes = 0
+        monkeypatch.setattr(os, "replace", counted)
+        service.snapshot_baseline("m1", "d1", open_dataset(old, "training"))
+        writes = len(replaced)  # the writes of one snapshot; the next fails at its last
+        prefix = StoreKey.parse("model/m1/monitor/d1/baseline")
+        before = {key: store.get(key) for key in store.list(prefix)}
+        with pytest.raises(StorageError, match="No space left"):
+            service.snapshot_baseline("m1", "d1", open_dataset(new, "training"))
+        monkeypatch.undo()
+        assert {key: store.get(key) for key in store.list(prefix)} == before
+        records = service.run_monitor(
+            "m1", "d1", FORECAST, open_dataset(new, "daily_inference")
+        )
+        assert [r.context["n_baseline"] for r in records] == [3, 3]
 
     def test_performance_monitor_has_no_baseline(
         self, service: MonitoringService, tmp_path: Path

@@ -38,44 +38,32 @@ FORECAST = date(2022, 3, 20)
 UNITS = 300
 
 GOLDEN = {
-    "model/m1/monitor/d1/baseline/f1": (
-        "802401e9910b69d862d3fe5f440aab49703e072bcfcac8067d5ac254d1d6d452"
-    ),
-    "model/m1/monitor/d1/baseline/f2": (
-        "248b86ae9efc1eabdf2b9a273558e7041221ace87592cbbfbee4f6fbf0cd37d3"
-    ),
-    "model/m1/monitor/d1/baseline/prediction": (
-        "168ed0b362826c2c81e09e1c906b8496bdbb324197e00fd3e0dd811ce76bbe10"
+    "model/m1/monitor/d1/baseline": (
+        "69db4193fe8d967ef92c1924b10214884d1c84f39208e6529707fb9d7f474eca"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/f1": (
-        "fba2935145d636f25222b50ef0643de961ceed762095c27ad3c9da561b5c010e"
+        "717a9515fed8b19cc2b0548bcde7cf549456083b092e4acf0d15778cca88062f"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/f2": (
-        "0cde7923f26a85ea5d81816944fb9931d1380a76dd08964fdf45ac818e2f53e0"
+        "4d6bfc4b1c826ee5f93dbfbadd2c9ee04b557474888eb89ffc8dfffe9ce4f8c6"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/prediction": (
-        "0ccf9dd1873ed2b054b341995fea7d25e14d4d593c4a6dc4dac045f976770c86"
+        "d548f74e17537f1d54adf0378dfbd55bdd0eadb09596cedbec9f81a367fa39bf"
     ),
-    "model/m1/monitor/d2/baseline/f1": (
-        "e228d4e3283f3ebc340a609d387948121937938d46aa2877f9366f3ab573692f"
-    ),
-    "model/m1/monitor/d2/baseline/f2": (
-        "1403df1661352228885643d7fbe75b52991978f4db6aa94b4e08029c41dc0cb6"
-    ),
-    "model/m1/monitor/d2/baseline/prediction": (
-        "395c70d14351cbc969b6e64669e5a9850a92881d3b8b319178d104f5a64b5702"
+    "model/m1/monitor/d2/baseline": (
+        "bbac16f1513a9b051f87579bcf378d74fa9efe279dcb6ae689a433ca1717cb8b"
     ),
     "model/m1/monitor/d2/metrics/2022-03-20/f1": (
-        "1432bb634a159bb1b7f717a68e09cf0a401952179d47670a7e34460842303203"
+        "9203c128ab52ee25f57f5b2d6b33d73601c445f3933e2cce1cea7859426f4c6d"
     ),
     "model/m1/monitor/d2/metrics/2022-03-20/f2": (
-        "5a6335fa2ca49e2912600a50ad4fe129c768505684191fe17b5971e40f94b944"
+        "e67276cdb3fad9325ee984aead06afe8cb3fa266ddfc8a0405eaa1fd13664e33"
     ),
     "model/m1/monitor/d2/metrics/2022-03-20/prediction": (
-        "3c331ae6ec4da014637f8c5b2b9ac695c7f123afb7cee2be8866330f4dbcbe47"
+        "64e9d9db1799884ab083b81b551f3bc39b8e57ad89ee01c170b212c1193da8cf"
     ),
     "model/m1/monitor/p1/metrics/2022-03-20/velocity": (
-        "2126185cb641be8bede0f113a7e9fcf25b387e9469451985ca80ebf7b14ef698"
+        "63f82f3406b42eb9ad33cc00578559d26a66236705825b5f14b36c1b3a4998d7"
     ),
 }
 
@@ -86,25 +74,25 @@ GOLDEN_CONFIGS = {
         "52d5cbe89d94c995f5d10805808b3af7a7e0403e51222da77937de59ed2f5398"
     ),
     "model/m1/monitor/d1": (
-        "1e21c8319e089d321ae59a5422831244fddfb0fbf56209e3f5ec35a7ffb4484f"
+        "e685a8bba95f49255a9b41c4f244080daeaceaf3737757e89c833dee40ad536d"
     ),
     "model/m1/monitor/d2": (
-        "a49d3bcaf3697c1cb3a241c199ee95ef7d0b52b91ce57dda5ed66e574a7d8f87"
+        "5e2f57a0e8777bc530fc2ff8cbade4cc2192957c50bcea768ca5663cc1b59160"
     ),
     "model/m1/monitor/p1": (
         "eb29451c18106076ca16ff4c0c442d051d8443829e4e1dfa91cb55676f74d830"
     ),
     "model/m1/reaction/alert": (
-        "8747cf93c192db813a662e2fd9af1bf124634aef654dc4ff4c47c356b6d1ec13"
+        "1b64a9eab6fa868e1eba196f5d8b114ec527920ea7a379b3484eaf83fa6bd851"
     ),
     "model/m1/reaction/alert/log/*": (
-        "98748bd420791040b79b781c44f2c451fc189cadbbd3887df0046282452da251"
+        "0b1e408b841a57cb6d3110f586084efe03bc47c4b8e54d432cf05fb871aa0615"
     ),
     "model/m1/reaction/report": (
         "d7bba299392b9864dbf356926feed9b117ece3cb8963e61dacc0fc9114abd570"
     ),
     "model/m1/reaction/report/log/*": (
-        "e3604d71faa1074055062aefc692703127808858b57af2c2bd8627fe2b9002f9"
+        "4b278dccfe6ae023f94ca3f92d9ecadc1359dfdf2fa5a66c3e9db58472b6db16"
     ),
 }
 
@@ -202,7 +190,9 @@ def _check(digests: dict[str, str], golden: dict[str, str]) -> None:
 
 def test_stored_documents_match_golden_digests(tmp_path: Path) -> None:
     digests = _stored_digests(tmp_path)
-    _check({k: v for k, v in digests.items() if "/baseline/" in k or "/metrics/" in k}, GOLDEN)
+    _check(
+        {k: v for k, v in digests.items() if k.endswith("/baseline") or "/metrics/" in k}, GOLDEN
+    )
 
 
 def test_configuration_and_log_documents_match_golden_digests(tmp_path: Path) -> None:

@@ -30,7 +30,6 @@ from driftmon import (
     dumps_doc,
     loads_doc,
 )
-from driftmon.store import format_real
 
 
 @pytest.fixture
@@ -87,25 +86,33 @@ class TestCanonicalSerialization:
 
     def test_integral_floats_keep_a_decimal_point(self) -> None:
         """Whole-number reals must stay distinguishable from integers."""
-        assert format_real(1.0) == "1.0"
-        assert format_real(-3.0) == "-3.0"
-        assert format_real(0.0) == "0.0"
+        assert dumps_doc([1.0, -3.0, 0.0]) == "[1.0, -3.0, 0.0]\n"
         assert dumps_doc({"a": 1.0, "b": 1}) == '{"a": 1.0, "b": 1}\n'
 
     def test_non_finite_reals_are_rejected(self) -> None:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValidationError, match="non-finite"):
-                format_real(bad)
-            with pytest.raises(ValidationError, match="non-finite"):
                 dumps_doc({"a": bad})
+            with pytest.raises(ValidationError, match="non-finite"):
+                dumps_doc([{"a": [0.5, bad]}])
 
     def test_unsupported_types_are_rejected(self) -> None:
         with pytest.raises(ValidationError, match="type"):
             dumps_doc({"a": object()})
+        # ``json`` alone would write these keys as the strings "1" and "2".
+        for bad in ({1: "a"}, {"a": [{"b": {2: 0.5}}]}):
+            with pytest.raises(ValidationError, match="keys must be strings"):
+                dumps_doc(bad)
+        deep: list = []
+        for _ in range(5000):
+            deep = [deep]
+        for bad in (deep, {"a": deep}):
+            with pytest.raises(ValidationError, match="nested"):
+                dumps_doc(bad)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_reals_round_trip_exactly(self, x: float) -> None:
-        assert float(format_real(x)) == x
+        assert loads_doc(dumps_doc(x)) == x
 
     @given(
         st.dictionaries(

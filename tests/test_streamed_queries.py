@@ -37,7 +37,6 @@ from driftmon import (
     dumps_doc,
     loads_doc,
 )
-from driftmon.store import format_real
 from driftmon.cli import _CSV_FIELD, EXIT_IO, EXIT_OK, main
 
 FORMATS = ("table", "csv", "doc")
@@ -61,7 +60,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format_real(value)
+        return repr(value)
     return str(value)
 
 
