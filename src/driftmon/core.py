@@ -435,11 +435,9 @@ class MonitoringService:
             records = self._run_drift(config, eval_date, data)
         else:
             records = self._run_performance(config, eval_date, data, sales)
+        prefix = self._metrics_prefix(model_id, monitor_id)
         for record in records:
-            key = self._metrics_prefix(model_id, monitor_id).child(
-                record.eval_date.isoformat(), record.quantity
-            )
-            self.store.put(key, dumps_doc(record.to_doc()))
+            self.store.put(prefix.child(*_metric_place(record)), dumps_doc(record.to_doc()))
         return records
 
     def _run_drift(

@@ -70,7 +70,10 @@ class ApproxCdf(Record):
         if hi == len(bps):
             return 1.0, 1.0
         j = hi - 1
-        frac = (x - bps[j]) / (bps[hi] - bps[j])
+        below, above = bps[j], bps[hi]
+        if above - below == math.inf:  # the gap overflows; at half scale it does not
+            x, below, above = x * 0.5, below * 0.5, above * 0.5
+        frac = (x - below) / (above - below)
         value = q[j] + (q[hi] - q[j]) * frac
         return value, value
 
@@ -129,15 +132,8 @@ def density_from_cdf(cdf: ApproxCdf, lo: float, hi: float, bins: int) -> array:
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """``numpy.linspace(start, stop, num)`` for ``num >= 2``, point for
-    point: ``i * step + start``, the last point set to ``stop``, and
-    numpy's branch for a step that underflows to zero."""
+    """``num >= 2`` evenly spaced points from ``start`` to ``stop``, both
+    exact.  Each point weighs the two ends, so no width ``stop - start`` is
+    formed and any finite range gives finite points."""
     div = num - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0:
-        points = [i / div * delta + start for i in range(num)]
-    else:
-        points = [i * step + start for i in range(num)]
-    points[-1] = stop
-    return points
+    return [start * (1.0 - i / div) + stop * (i / div) for i in range(div)] + [stop]

@@ -1072,3 +1072,29 @@ class TestRunMonitorCommand:
         code, out, err = self.run(cli, store, data, "--sales", str(ghost))
         assert (code, out) == (EXIT_IO, "")
         assert str(ghost) in err
+
+    def test_a_day_spanning_the_float_range_has_finite_metrics(self, tmp_path: Path, cli) -> None:
+        """Cells at -1e308 and 1e308: the density edges and the CDF between
+        those breakpoints span more than the largest float, and still every
+        stored metric is finite."""
+        store = str(tmp_path / "store")
+        header = "unit_id,eval_date,prediction,f1\n"
+        for name, middle in (("train.csv", "0"), ("day.csv", "5")):
+            cells = ("-1e308", middle, "1e308")
+            rows = "".join(f"u{i},2022-03-20,1.0,{cell}\n" for i, cell in enumerate(cells))
+            (tmp_path / name).write_text(header + rows, encoding="utf-8")
+        steps = [
+            ("register-model", "--store", store, "--id", "m1"),
+            ("set-monitor", "--store", store, "--model", "m1", "--id", "d1", "--kind", "drift",
+             "--quantities", "f1"),
+            ("snapshot-baseline", "--store", store, "--model", "m1", "--monitor", "d1",
+             "--data", str(tmp_path / "train.csv")),
+            ("run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
+             "--date", "2022-03-20", "--data", str(tmp_path / "day.csv"), "--format", "doc"),
+        ]
+        for step in steps:
+            code, out, err = cli(*step)
+            assert code == EXIT_OK, err
+        metrics = json.loads(out)["metrics"]
+        assert all(map(math.isfinite, metrics.values()))
+        assert 0.0 < metrics["ks_distance"] < 1.0

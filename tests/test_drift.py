@@ -1,13 +1,15 @@
 """Tests for the distribution-shift metrics.
 
-Two independent oracles keep the implementations honest: a brute-force
-maximisation of |F1 - F2| on a dense evaluation grid for the distance, and
-scipy's Kolmogorov tail function for the p-value series.
+Independent oracles keep the implementations honest: a brute-force
+maximisation of |F1 - F2| on a dense evaluation grid for the distance,
+scipy's Kolmogorov tail function for the p-value series, and masses in
+exact ``Fraction`` arithmetic for the Bhattacharyya coefficient.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,9 +26,10 @@ from driftmon import (
     ks_distance,
     ks_p_value,
 )
+from driftmon.summary import _linspace
 from test_summary import (
-    hexes,
-    reference_density_from_cdf,
+    exact_grid,
+    exact_masses,
     reference_evaluate,
     reference_left_limit,
     tied_cdfs,
@@ -71,20 +74,29 @@ def reference_ks_distance(f, g) -> float:
     return best
 
 
-def reference_bhattacharyya(f, g, bins: int = 100) -> float:
-    """``bhattacharyya`` as written with numpy, summed with the exactly
-    rounded ``math.fsum``; the stored coefficient must stay bit for bit
-    what this returns."""
+def exact_bhattacharyya(f, g, bins: int = 100, exact_edges: bool = True, slack: float = 0.0):
+    """Bounds on ``bhattacharyya`` from exact masses, binned over the exact
+    edges of its range or over the edges ``_linspace`` computes: the least
+    and the greatest ``sum(sqrt(p * q))`` over masses each within ``slack``
+    of the exact ones, each term taken from its exact product and the terms
+    summed exactly.
+    A root is ill-conditioned at a near-empty bin, which the slack covers;
+    with no slack both bounds are the exact masses' coefficient."""
     lo = min(f.breakpoints[0], g.breakpoints[0])
     hi = max(f.breakpoints[-1], g.breakpoints[-1])
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     else:
-        lo = np.nextafter(lo, -math.inf)
-    df = reference_density_from_cdf(f, lo, hi, bins)
-    dg = reference_density_from_cdf(g, lo, hi, bins)
-    coefficient = math.fsum(np.sqrt(df * dg))
-    return min(max(coefficient, 0.0), 1.0)
+        lo = math.nextafter(lo, -math.inf)
+    if exact_edges:
+        edges = exact_grid(lo, hi, bins + 1)
+    else:
+        edges = [Fraction(e) for e in _linspace(lo, hi, bins + 1)]
+    pairs = list(zip(exact_masses(f, edges), exact_masses(g, edges)))
+    slack = Fraction(slack)
+    low = math.fsum(math.sqrt(max(p - slack, 0) * max(q - slack, 0)) for p, q in pairs)
+    high = math.fsum(math.sqrt((p + slack) * (q + slack)) for p, q in pairs)
+    return min(low, 1.0), min(high, 1.0)
 
 
 class TestKsDistance:
@@ -226,8 +238,22 @@ class TestBhattacharyya:
 
     @settings(max_examples=300, deadline=None)
     @given(tied_cdfs(), tied_cdfs(), st.sampled_from([1, 7, 8, 100, 129]))
-    def test_matches_the_numpy_reference_bit_for_bit(self, f, g, bins: int) -> None:
-        assert hexes([bhattacharyya(f, g, bins)]) == hexes([reference_bhattacharyya(f, g, bins)])
+    def test_matches_exact_fractions_on_the_same_edges(self, f, g, bins: int) -> None:
+        """Ties put jumps under the edges, so the oracle bins on the edges
+        ``bhattacharyya`` computed (see ``test_summary``); its masses lie
+        within 3e-16 of the exact ones on such draws, and 1e-14 bounds
+        them."""
+        low, high = exact_bhattacharyya(f, g, bins, exact_edges=False, slack=1e-14)
+        assert low - 1e-12 <= bhattacharyya(f, g, bins) <= high + 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_exact_fractions_on_exact_edges(self, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        f = summarize(rng.normal(0, 1, 3000), points=100)
+        g = summarize(rng.normal(rng.uniform(0, 1), rng.uniform(0.5, 2), 3000), points=100)
+        for bins in (7, 100, 129):
+            exact, _ = exact_bhattacharyya(f, g, bins)
+            assert bhattacharyya(f, g, bins) == pytest.approx(exact, abs=1e-12)
 
     def test_rejects_bad_bin_count(self) -> None:
         f = summarize([1.0, 2.0])

@@ -39,28 +39,28 @@ UNITS = 300
 
 GOLDEN = {
     "model/m1/monitor/d1/baseline": (
-        "69db4193fe8d967ef92c1924b10214884d1c84f39208e6529707fb9d7f474eca"
+        "1ed02b56edaabc7e2243e5bd8863009855c03453711e52cc756ef8b5d9f57d79"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/f1": (
-        "717a9515fed8b19cc2b0548bcde7cf549456083b092e4acf0d15778cca88062f"
+        "fd7eeb111364a3f305bb06ecafe76e7eb31707443e0cb3bab3a42af83b88e3ee"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/f2": (
-        "4d6bfc4b1c826ee5f93dbfbadd2c9ee04b557474888eb89ffc8dfffe9ce4f8c6"
+        "4e9f052a0649d6dd1ab1dd3e70453dbfb34adbaed0c031915f80c99d97946c88"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/prediction": (
-        "d548f74e17537f1d54adf0378dfbd55bdd0eadb09596cedbec9f81a367fa39bf"
+        "f5372416005a01e8e9856acb2fae3766dce19f19e53384eb57eaa32155b5a82e"
     ),
     "model/m1/monitor/d2/baseline": (
-        "bbac16f1513a9b051f87579bcf378d74fa9efe279dcb6ae689a433ca1717cb8b"
+        "5fba902d70c719224f92fa5a2b56964a8dbaa9f5e5b31dea365a190eaf892818"
     ),
     "model/m1/monitor/d2/metrics/2022-03-20/f1": (
-        "9203c128ab52ee25f57f5b2d6b33d73601c445f3933e2cce1cea7859426f4c6d"
+        "58bbd05c700b3356e5351a44a6612712b11355136a2dd149154baa1eb6db9208"
     ),
     "model/m1/monitor/d2/metrics/2022-03-20/f2": (
-        "e67276cdb3fad9325ee984aead06afe8cb3fa266ddfc8a0405eaa1fd13664e33"
+        "6e009b07f606049b3bee055a361cebffbdb09dd960650f3cc214f93aa9ea36a2"
     ),
     "model/m1/monitor/d2/metrics/2022-03-20/prediction": (
-        "64e9d9db1799884ab083b81b551f3bc39b8e57ad89ee01c170b212c1193da8cf"
+        "375593b397e2f1ca066b59b3ec94c4a50909266290e9ee795efeca26d4e29e5c"
     ),
     "model/m1/monitor/p1/metrics/2022-03-20/velocity": (
         "63f82f3406b42eb9ad33cc00578559d26a66236705825b5f14b36c1b3a4998d7"
@@ -86,7 +86,7 @@ GOLDEN_CONFIGS = {
         "1b64a9eab6fa868e1eba196f5d8b114ec527920ea7a379b3484eaf83fa6bd851"
     ),
     "model/m1/reaction/alert/log/*": (
-        "0b1e408b841a57cb6d3110f586084efe03bc47c4b8e54d432cf05fb871aa0615"
+        "50fa171b8a9c976b5a660a11d30282cc5a227e6669c5e235e5170a52ffb33176"
     ),
     "model/m1/reaction/report": (
         "d7bba299392b9864dbf356926feed9b117ece3cb8963e61dacc0fc9114abd570"

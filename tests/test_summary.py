@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from driftmon import (
     ValidationError,
     build_cdf,
     density_from_cdf,
+    ks_distance,
 )
 from driftmon.summary import _linspace
 
@@ -88,28 +90,52 @@ def tied_cdfs(draw) -> ApproxCdf:
     )
 
 
-def reference_grid(n: int, points: int) -> list[float]:
-    """``build_cdf``'s probability grid as written with numpy."""
-    return [float(p) for p in np.linspace(1.0 / n, 1.0, points)]
+def exact_grid(start: float, stop: float, num: int) -> list[Fraction]:
+    """``num`` evenly spaced points from ``start`` to ``stop``, exactly."""
+    start, stop = Fraction(start), Fraction(stop)
+    return [start + (stop - start) * Fraction(i, num - 1) for i in range(num)]
 
 
-def reference_density_from_cdf(cdf: ApproxCdf, lo: float, hi: float, bins: int) -> np.ndarray:
-    """``density_from_cdf`` as written with numpy, validation aside, and
-    normalised by the exactly rounded ``math.fsum``; the masses must stay
-    bit for bit what this returns."""
-    edges = np.linspace(lo, hi, bins + 1)
-    values = np.array([cdf(e) for e in edges])
-    raw = np.diff(values)
-    correction = (1.0 - (values[-1] - values[0])) / bins
-    masses = raw + correction
-    np.clip(masses, 0.0, None, out=masses)
-    masses /= math.fsum(masses)
-    return masses
+def exact_cdf(cdf: ApproxCdf, x: Fraction) -> Fraction:
+    """The CDF at ``x`` in exact arithmetic: right-continuous, the top of a
+    run of tied breakpoints, linear between neighbours."""
+    bps = [Fraction(b) for b in cdf.breakpoints]
+    q = [Fraction(p) for p in cdf.probabilities]
+    hi = bisect_right(bps, x)
+    if not hi:
+        return Fraction(0)
+    if hi == len(bps):
+        return Fraction(1)
+    j = hi - 1
+    return q[j] + (q[hi] - q[j]) * (x - bps[j]) / (bps[hi] - bps[j])
 
 
-def hexes(values) -> list[str]:
-    """``float.hex`` of each value, which tells -0.0 from 0.0."""
-    return [float(v).hex() for v in values]
+def exact_masses(cdf: ApproxCdf, edges: list[Fraction]) -> list[Fraction]:
+    """``density_from_cdf``'s masses over ``edges`` in exact arithmetic:
+    the mass outside the edges spread evenly, negatives clamped, the
+    total normalised to 1."""
+    bins = len(edges) - 1
+    values = [exact_cdf(cdf, e) for e in edges]
+    correction = (1 - (values[-1] - values[0])) / bins
+    masses = [max(b - a + correction, Fraction(0)) for a, b in zip(values, values[1:])]
+    total = sum(masses)
+    return [m / total for m in masses]
+
+
+def assert_masses_near(masses, exact: list[Fraction]) -> None:
+    """Non-negative, summing to 1 within 1e-15, each within 1e-12 of its
+    exact value."""
+    assert all(m >= 0.0 for m in masses)
+    assert abs(math.fsum(masses) - 1.0) <= 1e-15
+    assert max(abs(Fraction(m) - e) for m, e in zip(masses, exact)) <= Fraction(1, 10**12)
+
+
+def ulps_off(points, exact: list[Fraction], unit: float | None = None) -> float:
+    """The largest distance of a point from its exact value, in ulps of
+    the point, or in ``unit``s if given."""
+    return float(
+        max(abs(Fraction(p) - e) / Fraction(unit or math.ulp(p)) for p, e in zip(points, exact))
+    )
 
 
 def probe_points(cdf: ApproxCdf) -> list[float]:
@@ -156,8 +182,9 @@ class TestBuildCdf:
     def test_grid_spans_one_over_n_to_one(self) -> None:
         values = np.random.default_rng(1).normal(0.0, 1.0, 500)
         cdf = build_cdf(sketch_of(values), 25, "feat")
-        expected = np.linspace(1.0 / 500, 1.0, 25)
-        assert np.allclose(cdf.probabilities, expected, atol=0.0)
+        assert cdf.probabilities[0] == 1.0 / 500
+        assert cdf.probabilities[-1] == 1.0
+        assert ulps_off(cdf.probabilities, exact_grid(1.0 / 500, 1.0, 25)) <= 2.0
         assert cdf.label == "feat"
         assert cdf.sample_count == 500
         assert cdf.breakpoints[-1] == values.max()
@@ -165,8 +192,15 @@ class TestBuildCdf:
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(2, 10**7), points=st.integers(2, 2000))
-    def test_grid_matches_numpy_bit_for_bit(self, n: int, points: int) -> None:
-        assert hexes(_linspace(1.0 / n, 1.0, points)) == hexes(reference_grid(n, points))
+    def test_grid_is_exact_at_its_ends_increasing_and_near_its_fractions(
+        self, n: int, points: int
+    ) -> None:
+        """From exactly ``1/n`` to exactly 1, strictly increasing, and each
+        point within 2 ulps of its exact value."""
+        grid = _linspace(1.0 / n, 1.0, points)
+        assert grid[0] == 1.0 / n and grid[-1] == 1.0
+        assert all(b > a for a, b in zip(grid, grid[1:]))
+        assert ulps_off(grid, exact_grid(1.0 / n, 1.0, points)) <= 2.0
 
     @pytest.mark.parametrize(
         ("epsilon", "n"), [(0.3, 3_000), (0.01, 30_000), (0.001, 30_000), (0.0003, 100_000)]
@@ -223,6 +257,16 @@ class TestApproxCdfEval:
         assert len(set(cdf.breakpoints)) == len(cdf.breakpoints)
         for b, q in zip(cdf.breakpoints, cdf.probabilities):
             assert cdf(b) == pytest.approx(q, abs=1e-12)
+
+    def test_interpolates_across_a_gap_wider_than_the_largest_float(self) -> None:
+        """Between breakpoints further apart than the largest float the
+        CDF is still linear, and the KS distance sees every knot."""
+        g = ApproxCdf("x", 2, (-1e308, 1e308), (0.5, 1.0))
+        assert g(9e307) == pytest.approx(0.975, abs=1e-15)
+        assert g(0.0) == 0.75
+        assert g._limits(-5e307) == (0.625, 0.625)
+        f = ApproxCdf("x", 3, (-1e308, 9e307, 1e308), (0.2, 0.6, 1.0))
+        assert ks_distance(f, g) == pytest.approx(0.375, abs=1e-15)
 
     def test_non_finite_evaluation_point_rejected(self) -> None:
         cdf = build_cdf(sketch_of([1.0, 3.0]), 2, "x")
@@ -367,11 +411,14 @@ class TestDensityFromCdf:
         ends=st.lists(st.floats(-2e6, 2e6) | st.integers(-3, 3).map(float), min_size=2, max_size=2),
         use_support=st.booleans(),
     )
-    def test_masses_match_the_numpy_reference_bit_for_bit(
+    def test_masses_match_exact_fractions_on_the_same_edges(
         self, cdf: ApproxCdf, bins: int, ends: list[float], use_support: bool
     ) -> None:
         """Over a drawn range or over the CDF's support, as
-        ``bhattacharyya`` bins it."""
+        ``bhattacharyya`` bins it.  Ties put jumps under the edges, where a
+        one-ulp move of an edge moves a mass by a whole step, so the oracle
+        bins on the very edges ``density_from_cdf`` computed; the grid
+        tests bound those edges against exact ones."""
         if use_support:
             lo, hi = math.nextafter(cdf.breakpoints[0], -math.inf), cdf.breakpoints[-1]
         else:
@@ -380,7 +427,26 @@ class TestDensityFromCdf:
             lo, hi = lo - 0.5, hi + 0.5
         masses = density_from_cdf(cdf, lo, hi, bins)
         assert masses.typecode == "d"
-        assert hexes(masses) == hexes(reference_density_from_cdf(cdf, lo, hi, bins))
+        edges = [Fraction(e) for e in _linspace(lo, hi, bins + 1)]
+        assert_masses_near(masses, exact_masses(cdf, edges))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masses_match_exact_fractions_on_exact_edges(self, seed: int) -> None:
+        """On summaries of continuous draws, binned over their support or a
+        part of it, the masses are those of the exact edges."""
+        rng = np.random.default_rng(seed)
+        values = rng.lognormal(0.0, 1.0, 3000) if seed % 2 else rng.normal(0.0, 1.0, 3000)
+        cdf = build_cdf(sketch_of(values), 100, "x")
+        lo, hi = math.nextafter(cdf.breakpoints[0], -math.inf), cdf.breakpoints[-1]
+        for lo, hi, bins in ((lo, hi, 100), (lo, hi, 129), ((lo + hi) / 3, hi / 2, 7)):
+            masses = density_from_cdf(cdf, lo, hi, bins)
+            assert_masses_near(masses, exact_masses(cdf, exact_grid(lo, hi, bins + 1)))
+
+    def test_edges_stay_finite_across_the_whole_float_range(self) -> None:
+        """Ends further apart than the largest float: no edge overflows."""
+        cdf = ApproxCdf("x", 3, (-1e308, 0.0, 1e308), (1 / 3, 2 / 3, 1.0))
+        masses = density_from_cdf(cdf, -1e308, 1e308, 100)
+        assert_masses_near(masses, exact_masses(cdf, exact_grid(-1e308, 1e308, 101)))
 
     def test_rejects_bad_range_or_bins(self) -> None:
         cdf = ApproxCdf("x", 2, (0.0, 1.0), (0.5, 1.0))
@@ -396,9 +462,10 @@ class TestDensityFromCdf:
             density_from_cdf(cdf, 0.0, 1.0, 2.5)
 
 
-class TestNumpyArithmetic:
-    """The private ``_linspace`` reproduces ``numpy.linspace`` bit for
-    bit, so stored grids do not depend on which computes them."""
+class TestLinspace:
+    """``_linspace`` weighs its two ends at each point: the ends are exact,
+    no point overflows, and each lies within 2 ulps of the larger end
+    from its exact value."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -406,19 +473,17 @@ class TestNumpyArithmetic:
         stop=st.floats(allow_nan=False, allow_infinity=False),
         num=st.integers(2, 300),
     )
-    def test_linspace_matches_numpy(self, start: float, stop: float, num: int) -> None:
-        with np.errstate(all="ignore"):
-            expected = np.linspace(start, stop, num)
-        assert hexes(_linspace(start, stop, num)) == hexes(expected)
+    def test_points_lie_near_their_fractions(self, start: float, stop: float, num: int) -> None:
+        self.check(start, stop, num)
 
     @pytest.mark.parametrize(
         "start, stop, num",
         [
-            (0.0, 5e-324, 101),  # the step underflows to zero
+            (0.0, 5e-324, 101),  # a step below the smallest float
             (5e-324, 1e-323, 3),
             (-5e-324, 5e-324, 7),
             (0.0, 1e-320, 129),
-            (1.0, 1.0, 5),  # no width: every point is the start
+            (1.0, 1.0, 5),  # no width
             (-0.0, 0.0, 4),
             (-1e308, 1e308, 101),  # the width overflows to infinity
             (0.0, 1.7976931348623157e308, 9),
@@ -426,9 +491,14 @@ class TestNumpyArithmetic:
             (1.0 / 3, 1.0, 100),
         ],
     )
-    def test_linspace_matches_numpy_at_extreme_ranges(
-        self, start: float, stop: float, num: int
-    ) -> None:
-        with np.errstate(all="ignore"):
-            expected = np.linspace(start, stop, num)
-        assert hexes(_linspace(start, stop, num)) == hexes(expected)
+    def test_extreme_ranges(self, start: float, stop: float, num: int) -> None:
+        self.check(start, stop, num)
+
+    @staticmethod
+    def check(start: float, stop: float, num: int) -> None:
+        points = _linspace(start, stop, num)
+        assert len(points) == num
+        assert points[0] == start and points[-1] == stop
+        assert all(map(math.isfinite, points))
+        unit = max(math.ulp(start), math.ulp(stop))
+        assert ulps_off(points, exact_grid(start, stop, num), unit) <= 2.0
