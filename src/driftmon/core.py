@@ -10,6 +10,10 @@ reactions, never written directly.  All state lives under hierarchical keys::
     model/{model_id}/monitor/{monitor_id}/metrics/{eval_date}/{quantity}
     model/{model_id}/reaction/{reaction_id}
     model/{model_id}/reaction/{reaction_id}/log/{timestamp}
+
+Each layout is spelled once, as a function of the ids it names.  A record
+is written at the key its own ids name and read back only from there: a
+record found at any other key is a corrupt document.
 """
 
 from __future__ import annotations
@@ -98,6 +102,36 @@ def _now() -> datetime:
     return datetime.now(timezone.utc)
 
 
+# -- layouts: the key segments of each kind of record, from its ids ---------
+
+
+def _model_at(model_id: str) -> tuple[str, ...]:
+    return ("model", model_id)
+
+
+def _monitor_at(model_id: str, monitor_id: str) -> tuple[str, ...]:
+    return (*_model_at(model_id), "monitor", monitor_id)
+
+
+def _baseline_at(model_id: str, monitor_id: str) -> tuple[str, ...]:
+    return (*_monitor_at(model_id, monitor_id), "baseline")
+
+
+def _metrics_at(model_id: str, monitor_id: str, *place: str) -> tuple[str, ...]:
+    """A monitor's metrics prefix; with ``place``, a day directory or, with
+    a day and a quantity, one record."""
+    return (*_monitor_at(model_id, monitor_id), "metrics", *place)
+
+
+def _reaction_at(model_id: str, reaction_id: str) -> tuple[str, ...]:
+    return (*_model_at(model_id), "reaction", reaction_id)
+
+
+def _logs_at(model_id: str, reaction_id: str, *place: str) -> tuple[str, ...]:
+    """A reaction's logs prefix; with ``place``, one log's key name."""
+    return (*_reaction_at(model_id, reaction_id), "log", *place)
+
+
 class ModelRegistration(Record):
     """A deployed model known to the monitoring service."""
 
@@ -108,6 +142,9 @@ class ModelRegistration(Record):
     def to_doc(self) -> dict[str, Any]:
         # Registered to the second, unlike a log's microseconds.
         return {**super().to_doc(), "created_at": _iso_seconds(self.created_at)}
+
+    def place(self) -> tuple[str, ...]:
+        return _model_at(self.model_id)
 
 
 class MonitorConfig(Record):
@@ -165,6 +202,9 @@ class MonitorConfig(Record):
             raise ValueError(f"parameters must be an object of {list(_RESOLUTION_DEFAULTS)}")
         return super().from_doc({**doc, **_RESOLUTION_DEFAULTS, **parameters})
 
+    def place(self) -> tuple[str, ...]:
+        return _monitor_at(self.model_id, self.monitor_id)
+
 
 class MetricRecord(Record):
     """One monitor evaluation for one quantity on one date."""
@@ -175,6 +215,9 @@ class MetricRecord(Record):
     quantity: str
     metrics: dict[str, float]
     context: dict[str, Any]
+
+    def place(self) -> tuple[str, ...]:
+        return _metrics_at(self.model_id, self.monitor_id, self.eval_date.isoformat(), self.quantity)
 
 
 class ReactionConfig(Record):
@@ -220,6 +263,9 @@ class ReactionConfig(Record):
             if self.sample_size is None or self.sample_size < 2:
                 raise ValidationError("a report reaction needs sample_size >= 2")
 
+    def place(self) -> tuple[str, ...]:
+        return _reaction_at(self.model_id, self.reaction_id)
+
 
 class LogRecord(Record):
     """The outcome of one reaction run."""
@@ -230,11 +276,8 @@ class LogRecord(Record):
     severity: Severity
     body: dict[str, Any]
 
-
-def _metric_place(record: MetricRecord) -> tuple[str, str]:
-    """The key segments a metric record is stored under, below its monitor's
-    ``metrics`` prefix."""
-    return record.eval_date.isoformat(), record.quantity
+    def place(self) -> tuple[str, ...]:
+        return _logs_at(self.model_id, self.reaction_id, _log_name(self.created_at))
 
 
 def _baselines_by_label(doc: Any) -> dict[str, ApproxCdf]:
@@ -257,10 +300,6 @@ def _log_name(ts: datetime) -> str:
     microsecond, ``%Y%m%dT%H%M%S.%fZ`` with a four-digit year, which sorts
     as time."""
     return _iso_micro(ts).replace("-", "").replace(":", "")
-
-
-def _log_place(record: LogRecord) -> tuple[str]:
-    return (_log_name(record.created_at),)
 
 
 def _log_bound(ts: datetime) -> str:
@@ -290,32 +329,6 @@ class MonitoringService:
     def __init__(self, store: FileStore) -> None:
         self.store = store
 
-    # -- keys ------------------------------------------------------------
-
-    @staticmethod
-    def _model_key(model_id: str) -> StoreKey:
-        return StoreKey.of("model", model_id)
-
-    @staticmethod
-    def _monitor_key(model_id: str, monitor_id: str) -> StoreKey:
-        return StoreKey.of("model", model_id, "monitor", monitor_id)
-
-    @classmethod
-    def _baseline_key(cls, model_id: str, monitor_id: str) -> StoreKey:
-        return cls._monitor_key(model_id, monitor_id).child("baseline")
-
-    @classmethod
-    def _metrics_prefix(cls, model_id: str, monitor_id: str) -> StoreKey:
-        return cls._monitor_key(model_id, monitor_id).child("metrics")
-
-    @staticmethod
-    def _reaction_key(model_id: str, reaction_id: str) -> StoreKey:
-        return StoreKey.of("model", model_id, "reaction", reaction_id)
-
-    @classmethod
-    def _log_prefix(cls, model_id: str, reaction_id: str) -> StoreKey:
-        return cls._reaction_key(model_id, reaction_id).child("log")
-
     def _load(self, key: StoreKey, decode: Callable[[Any], _T]) -> _T | None:
         """Decode the document at ``key``, or None when it is absent.
 
@@ -332,6 +345,22 @@ class MonitoringService:
         ) as exc:
             raise StorageError(f"corrupt document {key}: {exc!r}") from exc
 
+    def _read(self, key: StoreKey, kind: type[_T]) -> _T | None:
+        """The record of class ``kind`` at ``key``, or None when it is
+        absent.  A record whose own ids name another key is corrupt: read
+        only where it belongs, a copy never answers for another id, and key
+        order stays record order."""
+        record = self._load(key, kind.from_doc)
+        if record is not None and record.place() != key.segments:
+            raise StorageError(
+                f"corrupt document {key}: its record belongs at {'/'.join(record.place())}"
+            )
+        return record
+
+    def _put(self, record: Any) -> None:
+        """Write ``record`` at the key its own ids name."""
+        self.store.put(StoreKey(record.place()), dumps_doc(record.to_doc()))
+
     # -- models ----------------------------------------------------------
 
     def register_model(self, model_id: str, description: str = "") -> ModelRegistration:
@@ -340,12 +369,12 @@ class MonitoringService:
         registration = ModelRegistration(
             model_id=model_id, description=description, created_at=_now()
         )
-        self.store.put(self._model_key(model_id), dumps_doc(registration.to_doc()))
+        self._put(registration)
         return registration
 
     def _require_model(self, model_id: str) -> None:
         _check_identifier("model_id", model_id)
-        if self._load(self._model_key(model_id), ModelRegistration.from_doc) is None:
+        if self._read(StoreKey(_model_at(model_id)), ModelRegistration) is None:
             raise NotFoundError(f"model {model_id!r} is not registered")
 
     # -- monitors ----------------------------------------------------------
@@ -353,14 +382,11 @@ class MonitoringService:
     def set_monitor(self, config: MonitorConfig) -> MonitorConfig:
         """Store a monitor configuration; overwrites any previous version."""
         self._require_model(config.model_id)
-        self.store.put(
-            self._monitor_key(config.model_id, config.monitor_id),
-            dumps_doc(config.to_doc()),
-        )
+        self._put(config)
         return config
 
     def get_monitor(self, model_id: str, monitor_id: str) -> MonitorConfig:
-        config = self._load(self._monitor_key(model_id, monitor_id), MonitorConfig.from_doc)
+        config = self._read(StoreKey(_monitor_at(model_id, monitor_id)), MonitorConfig)
         if config is None:
             raise NotFoundError(f"monitor {monitor_id!r} not found for model {model_id!r}")
         return config
@@ -379,7 +405,7 @@ class MonitoringService:
             )
         summaries = self._summarise(training, config)
         self.store.put(
-            self._baseline_key(model_id, monitor_id),
+            StoreKey(_baseline_at(model_id, monitor_id)),
             dumps_doc([cdf.to_doc() for cdf in summaries]),
         )
         return summaries
@@ -435,9 +461,8 @@ class MonitoringService:
             records = self._run_drift(config, eval_date, data)
         else:
             records = self._run_performance(config, eval_date, data, sales)
-        prefix = self._metrics_prefix(model_id, monitor_id)
         for record in records:
-            self.store.put(prefix.child(*_metric_place(record)), dumps_doc(record.to_doc()))
+            self._put(record)
         return records
 
     def _run_drift(
@@ -445,7 +470,7 @@ class MonitoringService:
     ) -> list[MetricRecord]:
         from .drift import drift_evaluate
 
-        key = self._baseline_key(config.model_id, config.monitor_id)
+        key = StoreKey(_baseline_at(config.model_id, config.monitor_id))
         baselines = self._load(key, _baselines_by_label) or {}
         for quantity in config.quantities:
             if quantity not in baselines:
@@ -504,36 +529,19 @@ class MonitoringService:
             )
         ]
 
-    def _placed(
-        self,
-        prefix: StoreKey,
-        keys: Iterable[StoreKey],
-        decode: Callable[[Any], _T],
-        place: Callable[[_T], tuple[str, ...]],
-    ) -> Iterator[_T]:
-        """Decode the documents at ``keys`` under ``prefix`` one at a time.
-
-        ``place`` gives the key segments below ``prefix`` that a record
-        belongs at.  A record stored anywhere else is a corrupt document:
-        key order is record order only while every record sits at its key.
-        """
-        depth = len(prefix.segments)
+    def _placed(self, keys: Iterable[StoreKey], kind: type[_T]) -> Iterator[_T]:
+        """The records of class ``kind`` at ``keys``, decoded one at a time;
+        a key removed since it was listed is passed over."""
         for key in keys:
-            record = self._load(key, decode)
-            if record is None:  # removed since it was listed
-                continue
-            where = place(record)
-            if key.segments[depth:] != where:
-                raise StorageError(
-                    f"corrupt document {key}: its record belongs at {prefix}/{'/'.join(where)}"
-                )
-            yield record
+            record = self._read(key, kind)
+            if record is not None:
+                yield record
 
-    def _records_on(self, prefix: StoreKey, day: str) -> Iterator[MetricRecord]:
-        """The records stored under one day directory of a metrics prefix,
-        by quantity."""
+    def _records_on(self, model_id: str, monitor_id: str, day: str) -> Iterator[MetricRecord]:
+        """The records stored under one day directory of a monitor, by
+        quantity."""
         return self._placed(
-            prefix, self.store.list(prefix.child(day)), MetricRecord.from_doc, _metric_place
+            self.store.list(StoreKey(_metrics_at(model_id, monitor_id, day))), MetricRecord
         )
 
     def _iter_metrics(
@@ -549,13 +557,13 @@ class MonitoringService:
         """
         if date_from > date_to:
             raise ValidationError("metric range is reversed: date_from is after date_to")
-        prefix = self._metrics_prefix(model_id, monitor_id)
+        days = self.store.children(StoreKey(_metrics_at(model_id, monitor_id)))
         first, last = date_from.isoformat(), date_to.isoformat()
         return (
             record
-            for day in self.store.children(prefix)
+            for day in days
             if first <= day <= last
-            for record in self._records_on(prefix, day)
+            for record in self._records_on(model_id, monitor_id, day)
         )
 
     def get_metrics(
@@ -571,14 +579,11 @@ class MonitoringService:
         """Store a reaction; the referenced model and monitor must exist."""
         self._require_model(config.model_id)
         self.get_monitor(config.model_id, config.monitor_id)
-        self.store.put(
-            self._reaction_key(config.model_id, config.reaction_id),
-            dumps_doc(config.to_doc()),
-        )
+        self._put(config)
         return config
 
     def get_reaction(self, model_id: str, reaction_id: str) -> ReactionConfig:
-        config = self._load(self._reaction_key(model_id, reaction_id), ReactionConfig.from_doc)
+        config = self._read(StoreKey(_reaction_at(model_id, reaction_id)), ReactionConfig)
         if config is None:
             raise NotFoundError(f"reaction {reaction_id!r} not found for model {model_id!r}")
         return config
@@ -599,25 +604,21 @@ class MonitoringService:
             record = self._report_log(config)
         # A log is never overwritten: a key taken in the same microsecond,
         # by this process or another, moves the record to the next one.
-        prefix = self._log_prefix(model_id, reaction_id)
-        while not self.store.create(
-            prefix.child(_log_name(record.created_at)),
-            dumps_doc(record.to_doc()),
-        ):
+        while not self.store.create(StoreKey(record.place()), dumps_doc(record.to_doc())):
             record = replace(record, created_at=record.created_at + timedelta(microseconds=1))
         return [record]
 
     def _threshold_log(self, config: ReactionConfig, as_of: date) -> LogRecord:
         # Day directories are ISO dates, which sort as strings: walk them
         # down from ``as_of`` and stop at the first day holding the metric.
-        prefix = self._metrics_prefix(config.model_id, config.monitor_id)
+        days = self.store.children(StoreKey(_metrics_at(config.model_id, config.monitor_id)))
         last = as_of.isoformat()
         values: dict[str, float] = {}
-        for day in reversed(self.store.children(prefix)):
+        for day in reversed(days):
             if day <= last:
                 values = {
                     r.quantity: r.metrics[config.metric_name]
-                    for r in self._records_on(prefix, day)
+                    for r in self._records_on(config.model_id, config.monitor_id, day)
                     if config.metric_name in r.metrics
                 }
                 if values:
@@ -700,15 +701,8 @@ class MonitoringService:
             raise ValidationError("log range is reversed: from_ts is after to_ts")
         first = "" if from_ts is None else _log_bound(from_ts)
         last = "~" if to_ts is None else _log_bound(to_ts)  # "~" follows every name
-        prefix = self._log_prefix(model_id, reaction_id)
-        depth = len(prefix.segments)
-        keys = self.store.list(prefix)
-        return self._placed(
-            prefix,
-            (key for key in keys if first <= "/".join(key.segments[depth:]) <= last),
-            LogRecord.from_doc,
-            _log_place,
-        )
+        keys = self.store.list(StoreKey(_logs_at(model_id, reaction_id)))
+        return self._placed((key for key in keys if first <= key.segments[-1] <= last), LogRecord)
 
     def get_logs(
         self,
@@ -754,10 +748,10 @@ class MonitoringService:
             raise ValidationError(f"deleting {kind} takes no {other}")
         _check_identifier(selector, ids[selector])
         if kind == "monitor":
-            removed = self.store.delete(self._baseline_key(model_id, monitor_id))
-            return removed + int(self.store.remove(self._monitor_key(model_id, monitor_id)))
+            removed = self.store.delete(StoreKey(_baseline_at(model_id, monitor_id)))
+            return removed + int(self.store.remove(StoreKey(_monitor_at(model_id, monitor_id))))
         if kind == "metrics":
-            return self.store.delete(self._metrics_prefix(model_id, monitor_id))
+            return self.store.delete(StoreKey(_metrics_at(model_id, monitor_id)))
         if kind == "reaction":
-            return int(self.store.remove(self._reaction_key(model_id, reaction_id)))
-        return self.store.delete(self._log_prefix(model_id, reaction_id))
+            return int(self.store.remove(StoreKey(_reaction_at(model_id, reaction_id))))
+        return self.store.delete(StoreKey(_logs_at(model_id, reaction_id)))

@@ -174,6 +174,14 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "MON_STORE_ROOT" in err
 
+    def test_store_root_that_is_a_file_is_an_io_error(self, tmp_path: Path, cli) -> None:
+        root = tmp_path / "s"
+        root.write_text("not a directory\n", encoding="utf-8")
+        code, out, err = cli("register-model", "--store", str(root), "--id", "m1")
+        assert (code, out) == (EXIT_IO, "")
+        assert f"cannot create store root {root}" in err
+        assert "Traceback" not in err
+
     def test_io_errors_are_three(self, tmp_path: Path, cli) -> None:
         store = str(tmp_path / "s")
         cli("register-model", "--store", store, "--id", "m1")
@@ -382,19 +390,27 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "not an ISO date" in err
 
-    def test_baseline_listing_a_quantity_twice_is_an_io_error(self, workspace, cli) -> None:
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda f1, p: [f1, p, {**p, "sample_count": 3}], "'prediction' is listed twice"),
+            (lambda f1, p: {"f1": f1, "prediction": p}, "must be a list of summaries"),
+        ],
+        ids=["a quantity listed twice", "not a list"],
+    )
+    def test_corrupt_baseline_is_an_io_error(self, workspace, cli, corrupt, message) -> None:
         store, data = workspace
         key = "model/m1/monitor/d1/baseline"
         path = Path(store, key + ".json")
         f1, prediction = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps([f1, prediction, {**prediction, "sample_count": 3}]))
+        path.write_text(json.dumps(corrupt(f1, prediction)))
         code, out, err = cli(
             "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
             "--date", "2022-03-21", "--data", str(data / "inference.csv"),
         )
         assert (code, out) == (EXIT_IO, "")
         assert f"corrupt document {key}" in err
-        assert "'prediction' is listed twice" in err
+        assert message in err
         assert "Traceback" not in err
 
     def test_baselines_of_the_per_quantity_layout_are_missing(self, workspace, cli) -> None:
@@ -495,6 +511,79 @@ class TestExitCodes:
                 ) in err
                 assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "kind", ["model", "monitor", "monitor under another model", "reaction", "metric", "log"]
+    )
+    def test_record_under_another_id_is_an_io_error(self, workspace, cli, kind) -> None:
+        """A record is read only at the key its own ids name: every command
+        that meets a copy under another model, monitor or reaction id fails
+        naming the copy's key and the record's own, and writes nothing."""
+        store, data = workspace
+        on = ("--store", store, "--model")
+        threshold = ("--kind", "threshold", "--metric", "ks_distance", "--comparator", ">=")
+        threshold += ("--threshold", "0.0")
+        for step in [
+            ("register-model", "--store", store, "--id", "m2"),
+            ("set-monitor", *on, "m1", "--id", "d9", "--kind", "drift", "--quantities", "f1"),
+            ("set-reaction", *on, "m1", "--id", "r1", "--monitor", "d1", *threshold),
+            ("set-reaction", *on, "m1", "--id", "r9", "--monitor", "d9", *threshold),
+            ("run-reaction", *on, "m1", "--reaction", "r1", "--as-of", "2022-03-20"),
+        ]:
+            code, _, err = cli(*step)
+            assert code == EXIT_OK, err
+        (log,) = Path(store, "model/m1/reaction/r1/log").glob("*.json")
+        training = ("--data", str(data / "training.csv"))
+        day = ("--date", "2022-03-21", "--data", str(data / "inference.csv"))
+        # Per kind: the key a record is stored at, the key of its copy
+        # under another id, and the commands that read the copy.
+        source, copy, commands = {
+            "model": ("model/m1", "model/m2", [
+                ("set-monitor", *on, "m2", "--id", "p1", "--kind", "performance"),
+                ("set-reaction", *on, "m2", "--id", "r1", "--monitor", "d1", *threshold),
+            ]),
+            "monitor": ("model/m1/monitor/d1", "model/m1/monitor/d8", [
+                ("snapshot-baseline", *on, "m1", "--monitor", "d8", *training),
+                ("run-monitor", *on, "m1", "--monitor", "d8", *day),
+                ("set-reaction", *on, "m1", "--id", "r8", "--monitor", "d8", *threshold),
+            ]),
+            "monitor under another model": ("model/m1/monitor/d1", "model/m2/monitor/d1", [
+                ("snapshot-baseline", *on, "m2", "--monitor", "d1", *training),
+                ("run-monitor", *on, "m2", "--monitor", "d1", *day),
+                ("set-reaction", *on, "m2", "--id", "r1", "--monitor", "d1", *threshold),
+            ]),
+            "reaction": ("model/m1/reaction/r1", "model/m1/reaction/r8", [
+                ("run-reaction", *on, "m1", "--reaction", "r8", "--as-of", "2022-03-20"),
+            ]),
+            "metric": (
+                "model/m1/monitor/d1/metrics/2022-03-20/f1",
+                "model/m1/monitor/d9/metrics/2022-03-20/f1",
+                [
+                    ("get-metrics", *on, "m1", "--monitor", "d9", "--from", "2022-03-20",
+                     "--to", "2022-03-20", "--format", fmt)
+                    for fmt in ("table", "csv", "doc")
+                ] + [("run-reaction", *on, "m1", "--reaction", "r9", "--as-of", "2022-03-20")],
+            ),
+            "log": (
+                f"model/m1/reaction/r1/log/{log.stem}",
+                f"model/m1/reaction/r9/log/{log.stem}",
+                [
+                    ("get-logs", *on, "m1", "--reaction", "r9", "--format", fmt)
+                    for fmt in ("table", "csv", "doc")
+                ],
+            ),
+        }[kind]
+        if kind == "model":
+            Path(store, "model/m2.json").unlink()
+        Path(store, copy).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(Path(store, source + ".json"), Path(store, copy + ".json"))
+        before = {p: p.read_bytes() for p in Path(store).rglob("*") if p.is_file()}
+        for command in commands:
+            code, out, err = cli(*command)
+            assert (code, out) == (EXIT_IO, ""), command
+            assert f"corrupt document {copy}: its record belongs at {source}\n" in err
+            assert "Traceback" not in err
+        assert {p: p.read_bytes() for p in Path(store).rglob("*") if p.is_file()} == before
+
 
 #: Stored fields of the wrong JSON type, each of which an older decoder
 #: coerced into a value: (document, field, stored value, command that reads
@@ -511,6 +600,9 @@ WRONG_TYPES = [
     ("metric", "metrics", {"ks_distance": "0.1"}, "get-metrics", {}),
     ("metric", "context", [["n", 1]], "get-metrics", {}),
     ("log", "body", [["a", 1]], "get-logs", {}),
+    # Parameters that are not an object, or that name a field no monitor has.
+    ("monitor", "parameters", [], "run-monitor", {}),
+    ("monitor", "parameters", {"epsilon": 0.01, "bins": 5}, "run-monitor", {}),
     # Dates in other ISO 8601 forms than ``YYYY-MM-DD``.
     ("metric", "eval_date", "20220320", "get-metrics", {}),
     ("report", "date_to", "2022-W12-1", "run-reaction", {}),

@@ -5,10 +5,11 @@ not with its decoded records: a year of history is pinned under
 ``tracemalloc``.  The output must stay what the list-sort-union renderer
 printed, byte for byte; that renderer is kept here as the reference.  A
 range mixing column sets (drift and performance records under one monitor
-id, and a hand-edited record with an extra metric and a context value that
-needs CSV quoting) exercises the lines laid out again under the union
-header.  And since the text is written only after the last record has
-decoded, a corrupt document fails the command with nothing on stdout.
+id, and a hand-edited record with an extra metric, a context value that
+needs CSV quoting and a boolean one) exercises the lines laid out again
+under the union header.  And since the text is written only after the
+last record has decoded, a corrupt document fails the command with
+nothing on stdout.
 Cells longer than a CSV reader takes (a report log's series, a long
 context value) print as the reference prints them.
 """
@@ -135,9 +136,9 @@ def render(records, table, fmt: str) -> str:
 @pytest.fixture
 def mixed(tmp_path: Path, cli) -> str:
     """Drift records on 2022-03-18..20 and a velocity record on 2022-03-20,
-    all under monitor ``d1``; one drift record carries an extra metric and
-    a context value with a comma, a quote and a line break.  A threshold
-    and a report reaction have run twice each."""
+    all under monitor ``d1``; one drift record carries an extra metric, a
+    context value with a comma, a quote and a line break, and a boolean
+    context value.  A threshold and a report reaction have run twice each."""
     store = str(tmp_path / "store")
     data = tmp_path / "data"
     assert cli("synth", "--out", str(data), "--units", "200", "--seed", "3")[0] == EXIT_OK
@@ -173,6 +174,7 @@ def mixed(tmp_path: Path, cli) -> str:
     doc = loads_doc(path.read_text(encoding="utf-8"))
     doc["metrics"]["extra_metric"] = 0.25
     doc["context"]["note"] = 'hand-edited, "checked"\non two lines'
+    doc["context"]["checked"] = True
     path.write_text(dumps_doc(doc), encoding="utf-8")
     return store
 
