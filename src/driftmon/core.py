@@ -380,8 +380,22 @@ class MonitoringService:
     # -- monitors ----------------------------------------------------------
 
     def set_monitor(self, config: MonitorConfig) -> MonitorConfig:
-        """Store a monitor configuration; overwrites any previous version."""
+        """Store a monitor configuration; overwrites any previous version.
+
+        A stored baseline was summarised at the stored monitor's ``epsilon``
+        and ``cdf_points``, so it is deleted first unless the previous
+        version reads back with the same two values: a drift run then asks
+        for a new snapshot instead of comparing two resolutions.
+        """
         self._require_model(config.model_id)
+        key = StoreKey(config.place())
+        try:
+            previous = self._read(key, MonitorConfig)
+        except StorageError:  # a corrupt previous version names no resolution
+            previous = None
+        resolution = (config.epsilon, config.cdf_points)
+        if previous is None or (previous.epsilon, previous.cdf_points) != resolution:
+            self.store.delete(StoreKey(_baseline_at(config.model_id, config.monitor_id)))
         self._put(config)
         return config
 
@@ -412,29 +426,12 @@ class MonitoringService:
 
     @staticmethod
     def _summarise(data: DatasetHandle, config: MonitorConfig) -> list[ApproxCdf]:
-        """One summary per configured quantity, from a single read of ``data``."""
+        """One summary per configured quantity, in the configured order."""
         # The data and statistics modules load here, on the drift path only,
         # so queries and reactions do not pay their import time.
-        from .data import read_columns
-        from .sketch import QuantileSketch
-        from .summary import build_cdf
+        from .summary import _summarise
 
-        sketches = [QuantileSketch(config.epsilon) for _ in config.quantities]
-        for block in read_columns(data, config.quantities):
-            for quantity, sketch, values in zip(config.quantities, sketches, block):
-                try:
-                    sketch.extend(values)
-                except ValidationError as exc:  # a column longer than a sketch takes
-                    raise ValidationError(f"column {quantity!r} of {data.path}: {exc}") from exc
-        for quantity, sketch in zip(config.quantities, sketches):
-            if sketch.count == 0:
-                raise PreconditionError(
-                    f"column {quantity!r} of {data.path} holds no usable values"
-                )
-        return [
-            build_cdf(sketch, config.cdf_points, quantity)
-            for quantity, sketch in zip(config.quantities, sketches)
-        ]
+        return _summarise(data, config.quantities, config.epsilon, config.cdf_points)
 
     def run_monitor(
         self,

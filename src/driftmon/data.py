@@ -246,15 +246,32 @@ def read_columns(
     exhausted.  An unknown column is a schema error raised here, before any
     row is read.
     """
+    columns = _known(handle, columns)
+    return _logged_blocks(handle, columns)
+
+
+def _known(handle: DatasetHandle, columns: Sequence[str]) -> tuple[str, ...]:
+    """``columns`` as a tuple, once each is known to be in ``handle``."""
     columns = tuple(columns)
     for column in columns:
         if column not in handle.columns:
             raise SchemaError(f"{handle.path}: no column named {column!r}")
-    return _blocks(handle, columns)
+    return columns
 
 
-def _blocks(handle: DatasetHandle, columns: tuple[str, ...]) -> Iterator[tuple[list[float], ...]]:
+def _logged_blocks(
+    handle: DatasetHandle, columns: tuple[str, ...]
+) -> Iterator[tuple[list[float], ...]]:
     blanks = [0] * len(columns)
+    yield from _blocks(handle, columns, blanks)
+    _warn_blanks(handle, columns, blanks)
+
+
+def _blocks(
+    handle: DatasetHandle, columns: tuple[str, ...], blanks: list[int]
+) -> Iterator[tuple[list[float], ...]]:
+    """``read_columns``' blocks of known ``columns``, adding each column's
+    blank cells to its count in ``blanks`` instead of logging them."""
     for first, cells in _column_blocks(handle, columns):
         block = [_floats(column) for column in cells]
         slow = [i for i, values in enumerate(block) if values is None]
@@ -270,6 +287,10 @@ def _blocks(handle: DatasetHandle, columns: tuple[str, ...]) -> Iterator[tuple[l
                     else:
                         blanks[i] += 1
         yield tuple(block)
+
+
+def _warn_blanks(handle: DatasetHandle, columns: Sequence[str], blanks: Sequence[int]) -> None:
+    """Log one warning per column with blank cells, in the order of ``columns``."""
     for column, count in zip(columns, blanks):
         if count:
             import logging  # only here: a file without blanks never loads it

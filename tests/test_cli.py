@@ -1126,6 +1126,71 @@ class TestPerformanceFlow:
         assert "--sales" in err
 
 
+class TestSetMonitorAndTheBaseline:
+    """A baseline holds summaries at the monitor's ``epsilon`` and
+    ``cdf_points``; re-setting either one deletes it."""
+
+    @pytest.fixture
+    def snapshotted(self, tmp_path: Path, cli) -> tuple[str, Path]:
+        store = str(tmp_path / "store")
+        data = tmp_path / "data"
+        assert cli("synth", "--out", str(data), "--units", "300", "--seed", "4")[0] == EXIT_OK
+        steps = [
+            ("register-model", "--store", store, "--id", "m1"),
+            ("set-monitor", "--store", store, "--model", "m1", "--id", "d1", "--kind", "drift",
+             "--quantities", "f1,prediction"),
+            ("snapshot-baseline", "--store", store, "--model", "m1", "--monitor", "d1",
+             "--data", str(data / "training.csv")),
+        ]
+        for step in steps:
+            code, _, err = cli(*step)
+            assert code == EXIT_OK, err
+        return store, data
+
+    def reset_and_run(self, cli, snapshotted, *flags: str) -> tuple[int, str, str]:
+        store, data = snapshotted
+        code, _, err = cli(
+            "set-monitor", "--store", store, "--model", "m1", "--id", "d1", "--kind", "drift",
+            *flags,
+        )
+        assert code == EXIT_OK, err
+        return cli(
+            "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--date", "2022-03-20", "--data", str(data / "inference.csv"), "--format", "doc",
+        )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--cdf-points", "7", "--epsilon", "0.2"), ("--cdf-points", "7"), ("--epsilon", "0.2")],
+    )
+    def test_a_new_resolution_asks_for_a_new_snapshot(self, snapshotted, cli, flags) -> None:
+        store, _ = snapshotted
+        code, out, err = self.reset_and_run(
+            cli, snapshotted, "--quantities", "f1,prediction", *flags
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "snapshot-baseline" in err
+        assert not Path(store, "model", "m1", "monitor", "d1", "baseline.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--quantities", "f1,prediction"),
+            ("--quantities", "f1,prediction", "--epsilon", "0.001", "--cdf-points", "100"),
+            ("--quantities", "f1,prediction", "--density-bins", "9"),
+            ("--quantities", "prediction"),
+        ],
+    )
+    def test_the_same_resolution_keeps_the_baseline(self, snapshotted, cli, flags) -> None:
+        store, _ = snapshotted
+        baseline = Path(store, "model", "m1", "monitor", "d1", "baseline.json")
+        before = baseline.read_bytes()
+        code, out, err = self.reset_and_run(cli, snapshotted, *flags)
+        assert code == EXIT_OK, err
+        assert len(out.splitlines()) == len(flags[1].split(","))
+        assert baseline.read_bytes() == before
+
+
 class TestRunMonitorCommand:
     def run(self, cli, store: str, data: Path, *extra: str) -> tuple[int, str, str]:
         return cli(
