@@ -21,6 +21,7 @@ import math
 import sys
 from datetime import date, datetime, timezone
 from enum import Enum
+from importlib import import_module
 from operator import attrgetter
 from typing import Any, Callable, Mapping, TypeVar
 
@@ -90,6 +91,13 @@ _CODECS: dict[str, tuple[str, Callable[[Any], bool], Callable | None, Callable |
         lambda v: {k: float(x) for k, x in v.items()},
     ),
     "dict[str, Any]": ("an object", lambda v: v.__class__ is dict, dict, dict),
+    # A baseline's summaries: the statistics modules load only to read one.
+    "tuple[ApproxCdf, ...]": (
+        "a list of objects",
+        lambda v: v.__class__ is list and all(d.__class__ is dict for d in v),
+        lambda v: tuple(map(import_module(".summary", __package__).ApproxCdf.from_doc, v)),
+        lambda v: [cdf.to_doc() for cdf in v],
+    ),
 }
 
 

@@ -417,18 +417,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except StorageError as exc:
+    except (MonitoringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MonitoringError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, (StorageError, OSError)):
+            return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, ValidationError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -206,6 +206,31 @@ class MonitorConfig(Record):
         return _monitor_at(self.model_id, self.monitor_id)
 
 
+class Baseline(Record):
+    """A drift monitor's training summaries, one per watched quantity, and
+    the ``epsilon`` and ``cdf_points`` they were summarised at."""
+
+    model_id: str
+    monitor_id: str
+    epsilon: float
+    cdf_points: int
+    summaries: tuple[ApproxCdf, ...]
+
+    def __post_init__(self) -> None:
+        labels = [cdf.label for cdf in self.summaries]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValidationError(f"quantity {label!r} is listed twice")
+
+    @classmethod
+    def from_doc(cls, doc: Any) -> "Baseline | None":
+        # A bare list of summaries, stored before baselines named a resolution, is none.
+        return None if doc.__class__ is list else super().from_doc(doc)
+
+    def place(self) -> tuple[str, ...]:
+        return _baseline_at(self.model_id, self.monitor_id)
+
+
 class MetricRecord(Record):
     """One monitor evaluation for one quantity on one date."""
 
@@ -280,21 +305,6 @@ class LogRecord(Record):
         return _logs_at(self.model_id, self.reaction_id, _log_name(self.created_at))
 
 
-def _baselines_by_label(doc: Any) -> dict[str, ApproxCdf]:
-    """A monitor's stored baselines by quantity: the document is a list of
-    summaries, and a quantity listed twice makes it corrupt."""
-    from .summary import ApproxCdf
-
-    if doc.__class__ is not list:
-        raise ValueError("a baseline document must be a list of summaries")
-    baselines: dict[str, ApproxCdf] = {}
-    for cdf in map(ApproxCdf.from_doc, doc):
-        if cdf.label in baselines:
-            raise ValueError(f"quantity {cdf.label!r} is listed twice")
-        baselines[cdf.label] = cdf
-    return baselines
-
-
 def _log_name(ts: datetime) -> str:
     """The key name of a log created at ``ts``: its UTC time to the
     microsecond, ``%Y%m%dT%H%M%S.%fZ`` with a four-digit year, which sorts
@@ -329,28 +339,20 @@ class MonitoringService:
     def __init__(self, store: FileStore) -> None:
         self.store = store
 
-    def _load(self, key: StoreKey, decode: Callable[[Any], _T]) -> _T | None:
-        """Decode the document at ``key``, or None when it is absent.
-
-        A document that does not parse or decode is a storage fault, so it
-        is reported against its key instead of escaping as a traceback.
-        """
+    def _read(self, key: StoreKey, kind: type[_T]) -> _T | None:
+        """The record of class ``kind`` at ``key``, or None when it is
+        absent.  A document that does not decode, or whose record's own ids
+        name another key, is corrupt: a copy never answers for another id,
+        and key order stays record order."""
         body = self.store.get(key)
         if body is None:
             return None
         try:
-            return decode(loads_doc(body))
+            record = kind.from_doc(loads_doc(body))
         except (
             AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError
         ) as exc:
             raise StorageError(f"corrupt document {key}: {exc!r}") from exc
-
-    def _read(self, key: StoreKey, kind: type[_T]) -> _T | None:
-        """The record of class ``kind`` at ``key``, or None when it is
-        absent.  A record whose own ids name another key is corrupt: read
-        only where it belongs, a copy never answers for another id, and key
-        order stays record order."""
-        record = self._load(key, kind.from_doc)
         if record is not None and record.place() != key.segments:
             raise StorageError(
                 f"corrupt document {key}: its record belongs at {'/'.join(record.place())}"
@@ -380,22 +382,10 @@ class MonitoringService:
     # -- monitors ----------------------------------------------------------
 
     def set_monitor(self, config: MonitorConfig) -> MonitorConfig:
-        """Store a monitor configuration; overwrites any previous version.
-
-        A stored baseline was summarised at the stored monitor's ``epsilon``
-        and ``cdf_points``, so it is deleted first unless the previous
-        version reads back with the same two values: a drift run then asks
-        for a new snapshot instead of comparing two resolutions.
-        """
+        """Store a monitor configuration; overwrites any previous version.  A
+        stored baseline is kept: a drift run refuses one taken at another
+        ``epsilon`` or ``cdf_points``."""
         self._require_model(config.model_id)
-        key = StoreKey(config.place())
-        try:
-            previous = self._read(key, MonitorConfig)
-        except StorageError:  # a corrupt previous version names no resolution
-            previous = None
-        resolution = (config.epsilon, config.cdf_points)
-        if previous is None or (previous.epsilon, previous.cdf_points) != resolution:
-            self.store.delete(StoreKey(_baseline_at(config.model_id, config.monitor_id)))
         self._put(config)
         return config
 
@@ -409,8 +399,9 @@ class MonitoringService:
         self, model_id: str, monitor_id: str, training: DatasetHandle
     ) -> list[ApproxCdf]:
         """Summarise every configured quantity of the training data in one
-        pass and persist the summaries as the monitor's baselines, in one
-        document: a snapshot replaces the previous one whole or not at all."""
+        pass and persist the summaries as the monitor's baseline, one
+        document naming the resolution they were taken at: a snapshot
+        replaces the previous one whole or not at all."""
         config = self.get_monitor(model_id, monitor_id)
         if config.kind is not MonitorKind.DRIFT:
             raise PreconditionError(
@@ -418,9 +409,8 @@ class MonitoringService:
                 f"only drift monitors take baselines"
             )
         summaries = self._summarise(training, config)
-        self.store.put(
-            StoreKey(_baseline_at(model_id, monitor_id)),
-            dumps_doc([cdf.to_doc() for cdf in summaries]),
+        self._put(
+            Baseline(model_id, monitor_id, config.epsilon, config.cdf_points, tuple(summaries))
         )
         return summaries
 
@@ -467,8 +457,15 @@ class MonitoringService:
     ) -> list[MetricRecord]:
         from .drift import drift_evaluate
 
-        key = StoreKey(_baseline_at(config.model_id, config.monitor_id))
-        baselines = self._load(key, _baselines_by_label) or {}
+        stored = self._read(StoreKey(_baseline_at(config.model_id, config.monitor_id)), Baseline)
+        resolution = (config.epsilon, config.cdf_points)
+        if stored is not None and (stored.epsilon, stored.cdf_points) != resolution:
+            raise PreconditionError(
+                f"the baseline is at epsilon {stored.epsilon!r}, cdf_points {stored.cdf_points}"
+                f" and monitor {config.monitor_id!r} at epsilon {config.epsilon!r}, cdf_points "
+                f"{config.cdf_points}; run snapshot-baseline again"
+            )
+        baselines = {cdf.label: cdf for cdf in stored.summaries} if stored else {}
         for quantity in config.quantities:
             if quantity not in baselines:
                 raise PreconditionError(

@@ -244,7 +244,7 @@ class TestExitCodes:
         key = "model/m1/monitor/d1/baseline"
         path = Path(store, key + ".json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc[0]["breakpoints"][-1] = bad
+        doc["summaries"][0]["breakpoints"][-1] = bad
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = cli(
             "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
@@ -394,16 +394,18 @@ class TestExitCodes:
         "corrupt,message",
         [
             (lambda f1, p: [f1, p, {**p, "sample_count": 3}], "'prediction' is listed twice"),
-            (lambda f1, p: {"f1": f1, "prediction": p}, "must be a list of summaries"),
+            (lambda f1, p: {"f1": f1, "prediction": p}, "summaries must be a list of objects"),
+            (lambda f1, p: [f1, [p]], "summaries must be a list of objects"),
         ],
-        ids=["a quantity listed twice", "not a list"],
+        ids=["a quantity listed twice", "not a list", "a summary that is not an object"],
     )
     def test_corrupt_baseline_is_an_io_error(self, workspace, cli, corrupt, message) -> None:
         store, data = workspace
         key = "model/m1/monitor/d1/baseline"
         path = Path(store, key + ".json")
-        f1, prediction = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps(corrupt(f1, prediction)))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["summaries"] = corrupt(*doc["summaries"])
+        path.write_text(json.dumps(doc))
         code, out, err = cli(
             "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
             "--date", "2022-03-21", "--data", str(data / "inference.csv"),
@@ -418,10 +420,10 @@ class TestExitCodes:
         has no baseline document: a drift run asks for a new snapshot."""
         store, data = workspace
         monitor = Path(store, "model/m1/monitor/d1")
-        baselines = json.loads((monitor / "baseline.json").read_text(encoding="utf-8"))
+        baseline = json.loads((monitor / "baseline.json").read_text(encoding="utf-8"))
         (monitor / "baseline.json").unlink()
         (monitor / "baseline").mkdir()
-        for doc in baselines:
+        for doc in baseline["summaries"]:
             (monitor / "baseline" / f"{doc['label']}.json").write_text(dumps_doc(doc))
         code, out, err = cli(
             "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
@@ -435,6 +437,24 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert "3" in out  # config + the 2 old baselines
         assert not (monitor / "baseline").exists()
+
+    def test_a_baseline_of_the_list_form_is_missing(self, workspace, cli) -> None:
+        """A baseline stored as a bare list of summaries names no resolution
+        and holds no baseline: a drift run asks for a new snapshot."""
+        store, data = workspace
+        path = Path(store, "model/m1/monitor/d1/baseline.json")
+        path.write_text(dumps_doc(json.loads(path.read_text(encoding="utf-8"))["summaries"]))
+        code, out, err = cli(
+            "run-monitor", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--date", "2022-03-21", "--data", str(data / "inference.csv"),
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "no baseline for quantity 'f1'; run snapshot-baseline first" in err
+        code, out, _ = cli(
+            "delete", "--store", store, "--kind", "monitor", "--model", "m1", "--monitor", "d1",
+        )
+        assert (code, out) == (EXIT_OK, "deleted 2\n")  # config + the old baseline
+        assert not path.exists()
 
     def test_deeply_nested_document_is_an_io_error(self, workspace, cli) -> None:
         """Nesting past the JSON decoder's recursion limit is corrupt, not a
@@ -512,7 +532,9 @@ class TestExitCodes:
                 assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "kind", ["model", "monitor", "monitor under another model", "reaction", "metric", "log"]
+        "kind",
+        ["model", "monitor", "monitor under another model", "reaction", "metric", "log",
+         "baseline"],
     )
     def test_record_under_another_id_is_an_io_error(self, workspace, cli, kind) -> None:
         """A record is read only at the key its own ids name: every command
@@ -551,6 +573,9 @@ class TestExitCodes:
                 ("run-monitor", *on, "m2", "--monitor", "d1", *day),
                 ("set-reaction", *on, "m2", "--id", "r1", "--monitor", "d1", *threshold),
             ]),
+            "baseline": ("model/m1/monitor/d1/baseline", "model/m1/monitor/d8/baseline", [
+                ("run-monitor", *on, "m1", "--monitor", "d8", *day),
+            ]),
             "reaction": ("model/m1/reaction/r1", "model/m1/reaction/r8", [
                 ("run-reaction", *on, "m1", "--reaction", "r8", "--as-of", "2022-03-20"),
             ]),
@@ -574,6 +599,9 @@ class TestExitCodes:
         }[kind]
         if kind == "model":
             Path(store, "model/m2.json").unlink()
+        if kind == "baseline":  # a monitor that d1's baseline would answer for
+            assert cli("set-monitor", *on, "m1", "--id", "d8", "--kind", "drift", "--quantities",
+                       "f1,prediction", "--epsilon", "0.01", "--cdf-points", "25")[0] == EXIT_OK
         Path(store, copy).parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(Path(store, source + ".json"), Path(store, copy + ".json"))
         before = {p: p.read_bytes() for p in Path(store).rglob("*") if p.is_file()}
@@ -592,6 +620,9 @@ WRONG_TYPES = [
     ("baseline", "sample_count", 7.9, "run-monitor", {}),
     ("baseline", "breakpoints", "12", "run-monitor", {"probabilities": [0.5, 1.0]}),
     ("baseline", "label", 5, "run-monitor", {}),
+    # The baseline's resolution, as the workspace monitor's would be coerced.
+    ("baseline", "epsilon", "0.01", "run-monitor", {}),
+    ("baseline", "cdf_points", 25.0, "run-monitor", {}),
     ("monitor", "quantities", "f1", "run-monitor", {}),
     ("threshold", "threshold", True, "run-reaction", {}),
     ("threshold", "threshold", "0.2", "run-reaction", {}),
@@ -641,8 +672,8 @@ class TestWrongTypesInStoredDocuments:
             key += "/" + path.stem
         path = Path(store, key + ".json")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        # A baseline document lists the monitor's quantities; f1 is first.
-        target = doc[0] if document == "baseline" else doc
+        # A baseline's summaries list the monitor's quantities; f1 is first.
+        target = doc["summaries"][0] if document == "baseline" and field not in doc else doc
         assert field in target
         target.update({field: value, **others})
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -1127,8 +1158,9 @@ class TestPerformanceFlow:
 
 
 class TestSetMonitorAndTheBaseline:
-    """A baseline holds summaries at the monitor's ``epsilon`` and
-    ``cdf_points``; re-setting either one deletes it."""
+    """A baseline names the ``epsilon`` and ``cdf_points`` its summaries
+    were taken at; ``set-monitor`` keeps it, and a drift run refuses it
+    once the monitor names another resolution."""
 
     @pytest.fixture
     def snapshotted(self, tmp_path: Path, cli) -> tuple[str, Path]:
@@ -1164,13 +1196,26 @@ class TestSetMonitorAndTheBaseline:
         [("--cdf-points", "7", "--epsilon", "0.2"), ("--cdf-points", "7"), ("--epsilon", "0.2")],
     )
     def test_a_new_resolution_asks_for_a_new_snapshot(self, snapshotted, cli, flags) -> None:
-        store, _ = snapshotted
+        store, data = snapshotted
+        baseline = Path(store, "model", "m1", "monitor", "d1", "baseline.json")
+        before = baseline.read_bytes()
         code, out, err = self.reset_and_run(
             cli, snapshotted, "--quantities", "f1,prediction", *flags
         )
         assert (code, out) == (EXIT_DOMAIN, "")
-        assert "snapshot-baseline" in err
-        assert not Path(store, "model", "m1", "monitor", "d1", "baseline.json").exists()
+        assert "the baseline is at epsilon 0.001, cdf_points 100" in err
+        assert "run snapshot-baseline again" in err
+        assert baseline.read_bytes() == before
+        code, _, err = cli(
+            "snapshot-baseline", "--store", store, "--model", "m1", "--monitor", "d1",
+            "--data", str(data / "training.csv"),
+        )
+        assert code == EXIT_OK, err
+        code, out, err = self.reset_and_run(
+            cli, snapshotted, "--quantities", "f1,prediction", *flags
+        )
+        assert code == EXIT_OK, err
+        assert len(out.splitlines()) == 2
 
     @pytest.mark.parametrize(
         "flags",

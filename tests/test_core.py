@@ -4,10 +4,14 @@ reactions, and logs over the document store."""
 from __future__ import annotations
 
 import os
+import threading
 import time
+from contextlib import contextmanager
 from datetime import date, datetime, timedelta, timezone
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from driftmon import (
     open_dataset,
     read_columns,
 )
+from driftmon import summary
 from driftmon.core import stride_sample
 from driftmon.data import _BLOCK_ROWS
 
@@ -72,6 +77,48 @@ def write_sales(path: Path, per_unit_daily: dict[str, float]) -> Path:
             lines.append(f"{unit},{day},{units!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@contextmanager
+def paused(call: Callable[[], Any], owner: object, name: str) -> Iterator[None]:
+    """Run ``call`` in a thread that is held just after each of its calls
+    of ``owner.name`` (a function of a module, or a method of a class)
+    returns; the body of the ``with`` runs in the pause, as a second
+    process would.  On leaving the block the thread is released and joined,
+    and what ``call`` raised is raised here.  Calls of ``owner.name`` from
+    other threads are not held."""
+    original = getattr(owner, name)
+    reached, release = threading.Event(), threading.Event()
+    raised: list[BaseException] = []
+
+    def held(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if threading.current_thread() is worker:
+            reached.set()
+            assert release.wait(60), "the pause was never released"
+        return result
+
+    def run() -> None:
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+        finally:
+            reached.set()  # a call that fails before the pause does not hang the test
+
+    worker = threading.Thread(target=run)
+    setattr(owner, name, held)
+    try:
+        worker.start()
+        assert reached.wait(60), f"{name} was never reached"
+        yield
+    finally:
+        release.set()
+        worker.join(60)
+        setattr(owner, name, original)
+    assert not worker.is_alive()
+    if raised:
+        raise raised[0]
 
 
 @pytest.fixture
@@ -183,7 +230,13 @@ class TestSnapshotBaseline:
         assert all(s.sample_count == 4 for s in summaries)
         key = StoreKey.parse("model/m1/monitor/d1/baseline")
         assert store.list(key) == [key]
-        assert loads_doc(store.get(key)) == [s.to_doc() for s in summaries]
+        assert loads_doc(store.get(key)) == {
+            "cdf_points": 4,
+            "epsilon": 0.001,
+            "model_id": "m1",
+            "monitor_id": "d1",
+            "summaries": [s.to_doc() for s in summaries],
+        }
 
     def test_snapshot_is_deterministic_for_identical_data(
         self, drift_setup: Path, service: MonitoringService, store: FileStore
@@ -404,6 +457,42 @@ class TestRunDriftMonitor:
         with pytest.raises(SchemaError, match="absent"):
             service.snapshot_baseline("m1", "d1", open_dataset(train, "training"))
         assert store.list(StoreKey.parse("model/m1/monitor/d1/baseline")) == []
+
+
+class TestInterleavedCommands:
+    """Commands that overlap, as two processes on one store can: one is
+    held at a point of its run while the other runs whole."""
+
+    def test_a_snapshot_spanning_a_new_resolution_is_refused(
+        self, service: MonitoringService, tmp_path: Path
+    ) -> None:
+        """A snapshot that summarised at the old resolution writes its
+        baseline after ``set_monitor`` has set a new one: the drift run
+        refuses it instead of comparing two resolutions."""
+        rng = np.random.default_rng(5)
+        train = write_predictions(tmp_path / "t.csv", rng.normal(size=2000), eval_date="2022-03-07")
+        day = write_predictions(tmp_path / "d.csv", rng.normal(size=2000))
+        service.register_model("m1")
+        service.set_monitor(MonitorConfig("d1", "m1", MonitorKind.DRIFT, ("f1", "prediction")))
+        snapshot = partial(service.snapshot_baseline, "m1", "d1", open_dataset(train, "training"))
+        with paused(snapshot, summary, "_summarise"):
+            service.set_monitor(
+                MonitorConfig(
+                    "d1", "m1", MonitorKind.DRIFT, ("f1", "prediction"), epsilon=0.2, cdf_points=7
+                )
+            )
+        with pytest.raises(PreconditionError) as refused:
+            service.run_monitor("m1", "d1", FORECAST, open_dataset(day, "daily_inference"))
+        assert str(refused.value) == (
+            "the baseline is at epsilon 0.001, cdf_points 100 and monitor 'd1' at epsilon 0.2, "
+            "cdf_points 7; run snapshot-baseline again"
+        )
+        assert service.get_metrics("m1", "d1", FORECAST, FORECAST) == []
+        service.snapshot_baseline("m1", "d1", open_dataset(train, "training"))
+        (record, _) = service.run_monitor(
+            "m1", "d1", FORECAST, open_dataset(day, "daily_inference")
+        )
+        assert record.context["n_baseline"] == 2000
 
 
 class TestRunPerformanceMonitor:

@@ -11,7 +11,7 @@ type.  Every command that reads the store runs in-process on each mangled
 store and must end in a documented exit code, 0 to 3, with no exception
 escaping ``cli.main``.
 
-``all_cases`` is the whole list, 778 cases of 20 commands each; the test
+``all_cases`` is the whole list, 818 cases of 20 commands each; the test
 runs a fixed seeded sample of it that takes a few seconds.  Passing every
 case to ``run_case`` runs them all.
 """
@@ -83,15 +83,15 @@ def _build(root: Path) -> None:
         assert main(list(step)) == 0, step
 
 
-def _fields(doc) -> list[tuple]:
+def _fields(doc: dict) -> list[tuple]:
     """Paths to every field of an object document and of each object one
-    level into it; for a list document, those of its first element."""
-    if isinstance(doc, list):
-        return [(0, *path) for path in _fields(doc[0])] if doc else []
+    level into it, directly or as the first element of a list."""
     paths = []
     for name, value in doc.items():
         paths.append((name,))
-        if isinstance(value, dict):
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            paths.extend((name, 0, inner) for inner in value[0])
+        elif isinstance(value, dict):
             paths.extend((name, inner) for inner in value)
     return paths
 

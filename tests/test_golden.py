@@ -39,7 +39,7 @@ UNITS = 300
 
 GOLDEN = {
     "model/m1/monitor/d1/baseline": (
-        "1ed02b56edaabc7e2243e5bd8863009855c03453711e52cc756ef8b5d9f57d79"
+        "7d7fe8e0753c7ff626d8e1517e1158f799f5fe91bc5f35866a4ee9a26f635c58"
     ),
     "model/m1/monitor/d1/metrics/2022-03-20/f1": (
         "fd7eeb111364a3f305bb06ecafe76e7eb31707443e0cb3bab3a42af83b88e3ee"
@@ -51,7 +51,7 @@ GOLDEN = {
         "f5372416005a01e8e9856acb2fae3766dce19f19e53384eb57eaa32155b5a82e"
     ),
     "model/m1/monitor/d2/baseline": (
-        "5fba902d70c719224f92fa5a2b56964a8dbaa9f5e5b31dea365a190eaf892818"
+        "94fb565460fc17c6ec529b1dd58bc209e94fd2e03365cd31402ff47ed027961e"
     ),
     "model/m1/monitor/d2/metrics/2022-03-20/f1": (
         "58bbd05c700b3356e5351a44a6612712b11355136a2dd149154baa1eb6db9208"
