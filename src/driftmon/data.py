@@ -26,6 +26,11 @@ row, stripped, with the checks and messages of a row-by-row read, so the
 first bad row in file order is the one reported.  Blocks carry no line
 numbers: the ``file:line`` of a bad row is resolved on the error path
 alone, by reading the file again up to that row (``_line``).
+
+``assemble_velocity_pairs`` reads each file once.  While both files are
+in unit order it keeps the predicted units in one sorted list, and each
+sales block looks up only the units it spans; from the first unit out of
+order, a ``unit -> index`` dict holds them all, with the same result.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from datetime import date, timedelta
 from enum import Enum
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter, truediv
+from operator import eq, itemgetter, le, ne, truediv
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from ._record import Record
 from .errors import PreconditionError, SchemaError, StorageError, ValidationError
@@ -317,6 +323,14 @@ def assemble_velocity_pairs(
     prediction cell was blank.  Duplicate prediction rows for a unit keep
     the last one.  Every velocity is finite and non-negative: ``_number``
     rejects any other cell.
+
+    Each file is read once, all predictions before any sale, in lanes
+    that differ only in memory.  While both files' stripped unit ids never
+    decrease in ``str`` order (other days' rows and out-of-window sales
+    aside), the predicted units are kept in one sorted list, and each sales
+    block looks its units up in a dict of those its ids span.  From the
+    first id out of order in either file on, one ``unit -> index`` dict
+    holds every predicted unit instead.
     """
     from .performance import VELOCITY_WINDOW_DAYS
 
@@ -329,16 +343,87 @@ def assemble_velocity_pairs(
     window = dict.fromkeys(
         (forecast_date + timedelta(days=i)).isoformat() for i in range(VELOCITY_WINDOW_DAYS)
     )
-
-    # During the predictions pass ``index`` maps each unit to its last
-    # prediction, None when that cell was blank; after it, each scored unit
-    # to its position in ``predicted``.  A dict keeps the order units first
-    # appear in, and ``update`` lets the last row win, so one call places a
-    # block.
-    index: dict[str, float | None] = {}
     target = forecast_date.isoformat()
+
+    # Each unit's last prediction, NaN if blank (a stored one is finite), in
+    # the order units first appear.  In a sorted file a unit's rows are
+    # adjacent, so ``units`` keeps the last of each run, across block edges
+    # too; out of order, a dict's ``update`` places a block.
+    units: list[str] = []
+    predicted = array("d")
+    index: dict | None = None
+    for block, values in _prediction_blocks(predictions, target):
+        if index is None:
+            run = units[-1:] + block
+            if all(map(le, run, run[1:])):
+                last = [*map(ne, run, run[1:]), True]
+                if units and not last[0]:
+                    units.pop()
+                    predicted.pop()
+                last = last[len(run) - len(block) :]
+                units += compress(block, last)
+                predicted.extend(compress(values, last))
+                continue
+            index = _index(units, predicted)
+        index.update(zip(block, values))
+    if index is None:
+        index = {}
+    else:
+        predicted = array("d", index.values())
+        # Replacing values while iterating the keys is allowed: no key comes or goes.
+        index.update(zip(index, range(len(predicted))))
+
+    # Each unit's in-window sales, summed in file order from 0.0.  Sales of
+    # other units are checked but not kept.  While ``units`` is left, a
+    # block that keeps the unit order looks up the predicted units from its
+    # first to its last; over the file, those add up to about one index of
+    # every unit.
+    sold = array("d", [0.0]) * len(predicted)
+    dates_seen: set[str] = set()
+    previous: list[str] = []
+    for block, values in _sales_blocks(sales, window, dates_seen):
+        if units and block:
+            run = previous + block
+            if all(map(le, run, run[1:])):
+                lo, hi = bisect_left(units, block[0]), bisect_right(units, block[-1])
+                index = dict(zip(units[lo:hi], range(lo, hi)))
+                previous = block[-1:]
+            else:
+                index = _index(units, range(len(units)))
+        for i, value in zip(map(index.get, block), values):
+            if i is not None:
+                sold[i] += value
+    # The units are the largest buffer; drop them before the velocities are
+    # laid out.
+    del units, index
+
+    missing_days = [d for d in window if d not in dates_seen]
+    if missing_days:
+        raise PreconditionError(
+            f"sales data covers no rows at all for day(s) {missing_days}; "
+            f"the {VELOCITY_WINDOW_DAYS}-day window from {target} is incomplete"
+        )
+    scored = list(map(eq, predicted, predicted))  # False at a NaN
+    excluded = scored.count(False)
+    if excluded:
+        predicted = array("d", compress(predicted, scored))
+        sold = array("d", compress(sold, scored))
+    actual = array("d", map(truediv, sold, repeat(VELOCITY_WINDOW_DAYS)))
+    return predicted, actual, excluded
+
+
+def _index(units: list[str], values: Iterable) -> dict:
+    """Each of ``units``, which is emptied, mapped to its value, in order."""
+    index = dict(zip(units, values))
+    units.clear()
+    return index
+
+
+def _prediction_blocks(handle: DatasetHandle, target: str) -> Iterator[tuple[list[str], list]]:
+    """Per block of ``handle``, each row for day ``target``: its unit and
+    its prediction, NaN where blank.  A blank unit id or bad cell fails."""
     for first, (dates, units, cells) in _column_blocks(
-        predictions, ("eval_date", "unit_id", "prediction")
+        handle, ("eval_date", "unit_id", "prediction")
     ):
         rows: Sequence[int] = range(first, first + len(dates))
         dates = list(map(str.strip, dates))
@@ -356,30 +441,23 @@ def assemble_velocity_pairs(
             values = []
             for row, unit, cell in zip(rows, units, cells):
                 if not unit:
-                    raise _error(predictions, row, "missing unit_id")
+                    raise _error(handle, row, "missing unit_id")
                 cell = cell.strip()
                 values.append(
-                    _number(predictions, row, "prediction", cell, non_negative=True)
+                    _number(handle, row, "prediction", cell, non_negative=True)
                     if cell
-                    else None
+                    else math.nan
                 )
-        index.update(zip(units, values))
-    blank = [unit for unit, value in index.items() if value is None]
-    for unit in blank:
-        del index[unit]
-    predicted = array("d", index.values())
-    # Replacing values while the keys are iterated is allowed: no key comes
-    # or goes.
-    index.update(zip(index, range(len(predicted))))
+        yield units, values
 
-    # Each scored unit's in-window sales, summed in file order from 0.0.
-    # Sales of other units are still checked, so a bad cell in the window
-    # fails wherever it sits, but not kept; a cell outside the window is
-    # never read.
-    sold = array("d", [0.0]) * len(predicted)
-    dates_seen: set[str] = set()
-    position = index.get
-    for first, (dates, units, cells) in _column_blocks(sales, ("date", "unit_id", "units")):
+
+def _sales_blocks(
+    handle: DatasetHandle, window: dict, dates_seen: set[str]
+) -> Iterator[tuple[list[str], list]]:
+    """Per block of ``handle``, each row dated in ``window``: its unit and
+    units sold.  Every date read goes to ``dates_seen``, and a blank one
+    fails anywhere; a bad cell fails in the window, and only there."""
+    for first, (dates, units, cells) in _column_blocks(handle, ("date", "unit_id", "units")):
         dates = list(map(str.strip, dates))
         inside = list(map(window.__contains__, dates))
         values = _floats(cells, non_negative=True) if all(dates) else None
@@ -388,24 +466,11 @@ def assemble_velocity_pairs(
             values = []
             for row, (day, kept, cell) in enumerate(zip(dates, inside, cells), first):
                 if not day:
-                    raise _error(sales, row, "missing date")
+                    raise _error(handle, row, "missing date")
                 values.append(
-                    _number(sales, row, "units", cell.strip(), non_negative=True) if kept else None
+                    _number(handle, row, "units", cell.strip(), non_negative=True) if kept else None
                 )
         dates_seen.update(dates)
-        for i, value in compress(zip(map(position, map(str.strip, units)), values), inside):
-            if i is not None:
-                sold[i] += value
-    # The index is the largest buffer; drop it, and the bound method that
-    # keeps it alive, before the velocities are laid out.
-    del index, position
-
-    missing_days = [d for d in window if d not in dates_seen]
-    if missing_days:
-        raise PreconditionError(
-            f"sales data covers no rows at all for day(s) {missing_days}; "
-            f"the {VELOCITY_WINDOW_DAYS}-day window from {target} is incomplete"
-        )
-    actual = array("d", map(truediv, sold, repeat(VELOCITY_WINDOW_DAYS)))
-    return predicted, actual, len(blank)
-
+        if not all(inside):
+            units, values = list(compress(units, inside)), list(compress(values, inside))
+        yield list(map(str.strip, units)), values

@@ -40,11 +40,18 @@ from driftmon import (
     read_columns,
     wmape,
 )
-from driftmon import synth
+from driftmon import data, synth
 from driftmon.data import _BLOCK_ROWS
 
 PREDICTION_HEADER = "unit_id,eval_date,prediction,f1\n"
 SALES_HEADER = "unit_id,date,units\n"
+
+
+def shuffle_rows(path: Path) -> None:
+    """Shuffle the data rows of the CSV file at ``path``, header first."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(5).shuffle(rows)
+    path.write_text(header + "".join(rows), encoding="utf-8")
 
 
 def write_csv(path: Path, text: str) -> Path:
@@ -304,35 +311,54 @@ class TestAssembleVelocityPairs:
         assert scores[1:] == scores[:1] * 2
 
     @staticmethod
-    def traced_join(out: Path, density: float) -> tuple[int, float, float]:
-        """(units, held, peak): what one join of a 2e4-unit ``synth`` day at
-        ``density`` leaves allocated and peaks at, in traced B/unit."""
+    def traced_join(
+        out: Path, density: float, shuffled: tuple[str, ...] = ()
+    ) -> tuple[tuple[array, array, int], float, float, int]:
+        """(result, held, peak, indexes): one join of a 2e4-unit ``synth`` day
+        at ``density``, with the data rows of the ``shuffled`` files
+        (``"predictions"``, ``"sales"``) shuffled; what it leaves allocated
+        and peaks at, in traced B/unit; and how many times it indexed every
+        unit."""
         n = 20_000
         _, inference, sales = generate_synthetic(
             SynthSpec(n_units=n, density=density, seed=5), out
         )
+        for name in shuffled:
+            shuffle_rows({"predictions": inference, "sales": sales}[name].path)
         gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            result = assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return len(result[0]), (held - base) / n, (peak - base) / n
+        with mock.patch("driftmon.data._index", wraps=data._index) as index:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        return result, (held - base) / n, (peak - base) / n, index.call_count
 
     @pytest.mark.parametrize("density", [0.3, 1.0])
     def test_memory_per_unit_stays_flat(self, tmp_path: Path, density: float) -> None:
-        """The result holds two doubles per unit, and the call's peak is
-        one index entry plus one sum per unit, not Python objects, however
-        dense the sales: with every unit selling, it stays within 8 B/unit of
-        sparse sales."""
-        n, held, peak = self.traced_join(tmp_path / "days", density)
-        assert n == 20_000
-        assert held <= 32, f"result holds {held:.1f} B/unit"
-        assert peak <= 270, f"call peaks at {peak:.1f} B/unit"
-        sparse = peak if density == 0.3 else self.traced_join(tmp_path / "sparse", 0.3)[2]
-        assert peak - sparse <= 8, f"peaks at {peak:.1f} B/unit against {sparse:.1f} sparse"
+        """The result holds two doubles per unit, and the call's peak is a
+        few objects per predicted unit, not per sale, however dense the
+        sales: with every unit selling, it stays within 8 B/unit of sparse
+        sales.  Files in unit order are joined without an index of every
+        unit, and peak lower; with either file shuffled, one such index is
+        built."""
+        for shuffled in [(), ("sales",), ("predictions", "sales")]:
+            lane = f"shuffled {shuffled}"
+            result, held, peak, indexes = self.traced_join(
+                tmp_path / f"days{len(shuffled)}", density, shuffled
+            )
+            assert len(result[0]) == 20_000
+            assert indexes == (1 if shuffled else 0), lane
+            assert held <= 32, f"{lane}: result holds {held:.1f} B/unit"
+            assert peak <= (270 if shuffled else 96), f"{lane}: call peaks at {peak:.1f} B/unit"
+            sparse = (
+                peak
+                if density == 0.3
+                else self.traced_join(tmp_path / f"sparse{len(shuffled)}", 0.3, shuffled)[2]
+            )
+            assert peak - sparse <= 8, f"{lane}: peaks at {peak:.1f} B/unit, {sparse:.1f} sparse"
 
     @pytest.mark.parametrize("block_rows", [1, 16, 256])
     def test_days_that_outgrow_flat_rows_keep_file_order_sums(
@@ -376,8 +402,8 @@ class TestAssembleVelocityPairs:
 
     def test_repeated_unit_day_rows_do_not_grow_the_peak(self, tmp_path: Path) -> None:
         """A sales file that lists every unit-day three times peaks within
-        the bound of a sparse one: rows are summed as they are read, so
-        nothing grows with their count."""
+        the bound of a sparse one, in unit order and shuffled: rows are
+        summed as they are read, so nothing grows with their count."""
         n = 5_000
         _, inference, _ = generate_synthetic(SynthSpec(n_units=n, seed=5), tmp_path)
         units = [f"u{i:04d}" for i in range(1, n + 1)]
@@ -389,16 +415,20 @@ class TestAssembleVelocityPairs:
             ),
             "daily_sales",
         )
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _, actual, _ = assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert set(actual) == {3.0}
-        assert (peak - base) / n <= 270, f"call peaks at {(peak - base) / n:.1f} B/unit"
+        for shuffled in (False, True):
+            if shuffled:
+                shuffle_rows(inference.path)
+                shuffle_rows(sales.path)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _, actual, _ = assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
+                peak = (tracemalloc.get_traced_memory()[1] - base) / n
+            finally:
+                tracemalloc.stop()
+            assert set(actual) == {3.0}
+            assert peak <= 270, f"shuffled {shuffled}: call peaks at {peak:.1f} B/unit"
 
     def test_missing_window_day_is_a_precondition_error(self, tmp_path: Path) -> None:
         days = {d: [("filler", 0.0)] for d in self.WINDOW if d != "2022-03-23"}
@@ -432,6 +462,62 @@ class TestAssembleVelocityPairs:
         )
         with pytest.raises(SchemaError, match=where):
             assemble_velocity_pairs(pred, sales, self.FORECAST)
+
+    @pytest.mark.parametrize(
+        ("pred_rows", "sales_rows", "indexes"),
+        [
+            # Sorted but for the last sales row.
+            (
+                ["u1,2022-03-20,1,0", "u2,2022-03-20,2,0"],
+                ["u2,2022-03-21,4", "u1,2022-03-22,7"],
+                1,
+            ),
+            # Sorted by day, then by unit.
+            (
+                ["u1,2022-03-20,1,0", "u2,2022-03-20,2,0"],
+                ["u1,2022-03-21,4", "u2,2022-03-21,1", "u1,2022-03-22,7", "u2,2022-03-22,3"],
+                1,
+            ),
+            # A bad sale is met before a bad prediction of a later block, and
+            # the prediction is reported, as every prediction is read first.
+            (
+                ["u1,2022-03-20,1,0", "u2,2022-03-20,2,0", "u3,2022-03-20,-1,0"],
+                ["u1,2022-03-21,lots"],
+                0,
+            ),
+            # In order as numbers, not as strings.
+            (
+                ["u9,2022-03-20,1,0", "u10,2022-03-20,2,0"],
+                ["u9,2022-03-21,7", "u10,2022-03-21,14"],
+                1,
+            ),
+        ],
+        ids=[
+            "last-sale-out-of-order",
+            "sales-by-day",
+            "bad-sale-then-bad-prediction",
+            "numeric-order",
+        ],
+    )
+    def test_files_out_of_order_switch_to_one_index(
+        self, tmp_path: Path, pred_rows: list[str], sales_rows: list[str], indexes: int
+    ) -> None:
+        """From the first unit out of order, every unit is indexed once and
+        the join goes on, with the reference join's bits, or its error and
+        ``file:line``."""
+        pred, sales = self.handles(
+            tmp_path,
+            PREDICTION_HEADER + "".join(f"{row}\n" for row in pred_rows),
+            # The filler rows sort before every ``u`` unit.
+            self.full_window() + "".join(f"{row}\n" for row in sales_rows),
+        )
+        expected = outcome(lambda: reference_assemble(pred, sales, self.FORECAST))
+        with mock.patch("driftmon.data._BLOCK_ROWS", 2), mock.patch(
+            "driftmon.data._index", wraps=data._index
+        ) as index:
+            got = outcome(lambda: assemble_velocity_pairs(pred, sales, self.FORECAST))
+        assert bits(got) == bits(expected)
+        assert index.call_count == indexes
 
     def test_handle_kinds_are_enforced(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -922,6 +1008,109 @@ class TestSplitLaneMatchesTheCsvReader:
             blocks = list(read_columns(handle, ["prediction"]))
         assert blocks == [([1.0, 3.0],)]
         assert reader.call_count == 1 + csv_reads_rows
+
+
+#: (spelling, unit id) pairs for unit-sorted files: padded and quoted
+#: spellings read as the id they strip to.  ``u10`` sorts before ``u2``.
+SORTED_UNITS = [(unit, unit) for unit in ("u1", "u10", "u2", "u3", "u4", "u5", "u9")] + [
+    (" u1 ", "u1"),
+    ('"u1"', "u1"),
+    (" u2\t", "u2"),
+    ('"u,8"', "u,8"),
+]
+#: Odd spellings: a blank unit, a quoted CR, and a NUL that ``csv`` refuses.
+ODD_UNITS = [("", ""), ('"u1\r"', "u1"), ("u\x001", "u\x001")]
+
+
+@st.composite
+def sorted_text(
+    draw, header: str, units, cells: list[st.SearchStrategy[str]], fixed: list, extra: list[str]
+) -> str:
+    """A CSV file of up to 40 rows of a drawn (spelling, unit id) of
+    ``units`` and drawn ``cells``, and the ``fixed`` rows of that shape, in
+    stable order of unit id; with the ``extra`` rows and blank lines at
+    drawn places, a drawn newline and an optional byte-order mark."""
+    size = draw(st.integers(0, 40))
+    rows = draw(st.lists(st.tuples(units, *cells), min_size=size, max_size=size)) + fixed
+    lines = [",".join([spelling, *row]) for (spelling, _), *row in sorted(rows, key=unit_id)]
+    for line in extra + [""] * draw(st.integers(0, 2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = newline if draw(st.booleans()) else ""
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + header + newline + newline.join(lines) + end
+
+
+def unit_id(row: tuple) -> str:
+    return row[0][1]
+
+
+class TestSortedLaneMatchesTheRowJoin:
+    """The join of unit-sorted files against the reference join, on drawn
+    files with adjacent duplicate predictions, blank ones, rows of other
+    days and out-of-window sales at drawn places, the odd cells of the
+    split-lane properties and, in some files, one row moved out of order.
+    Small blocks put runs of duplicates across block edges."""
+
+    @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+    @given(
+        block_rows=st.sampled_from([1, 2, 3, 5, _BLOCK_ROWS]),
+        odd=st.booleans(),
+        moved=st.sampled_from([None, "pred", "sales"]),
+        drawn=st.data(),
+    )
+    def test_assemble_velocity_pairs(self, block_rows, odd, moved, drawn) -> None:
+        units = st.sampled_from(SORTED_UNITS * 6 + (ODD_UNITS if odd else []))
+        # Only odd files hold bad cells: the odd ones, the switch cells that
+        # do not parse, and a blank sale in the window.
+        odd_cells = ODD_CELLS + ['"1,5"', '"2\r8"', ""] if odd else []
+        switch = [cell for cell in SWITCH_CELLS if cell not in ('"1,5"', '"2\r8"')]
+        prediction = st.sampled_from(PLAIN_CELLS * 12 + switch + odd_cells)
+        sold = st.sampled_from([cell for cell in PLAIN_CELLS if cell] * 12 + switch + odd_cells)
+        texts = {
+            "pred": drawn.draw(
+                sorted_text(
+                    PREDICTION_HEADER.rstrip("\n"),
+                    units,
+                    [
+                        st.sampled_from([TARGET] * 6 + [f" {TARGET} "]),
+                        prediction,
+                        prediction,
+                    ],
+                    [],
+                    [f"u{i},2022-03-19,{i}" for i in range(3)] + ["u5,,1"],
+                )
+            ),
+            "sales": drawn.draw(
+                sorted_text(
+                    SALES_HEADER.rstrip("\n"),
+                    units,
+                    [st.sampled_from(WINDOW_DAYS * 4 + [f"{TARGET}\t"]), sold],
+                    [(("filler", "filler"), day, "0") for day in WINDOW_DAYS],
+                    ["u1,2022-03-19,abc", "u2,2022-03-27,-5", "u3,x,inf", "u4,2022-03-27,"],
+                )
+            ),
+        }
+        if moved:
+            header, *lines = texts[moved].split("\n")
+            line = lines.pop(drawn.draw(st.integers(0, len(lines) - 1)))
+            lines.insert(drawn.draw(st.integers(0, len(lines))), line)
+            texts[moved] = "\n".join([header, *lines])
+        with tempfile.TemporaryDirectory() as folder, field_limit(FIELD_LIMIT):
+            paths = {name: Path(folder) / f"{name}.csv" for name in texts}
+            for name, text in texts.items():
+                paths[name].write_text(text, encoding="utf-8", newline="")
+            pred = open_dataset(paths["pred"], "daily_inference")
+            sales = open_dataset(paths["sales"], "daily_sales")
+            expected = outcome(lambda: reference_assemble(pred, sales, date(2022, 3, 20)))
+            expected = as_raised(expected, paths["pred"], paths["sales"])
+            with mock.patch("driftmon.data._BLOCK_ROWS", block_rows), mock.patch(
+                "driftmon.data._index", wraps=data._index
+            ) as index:
+                got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
+        assert bits(got) == bits(expected)
+        if moved is None:
+            assert index.call_count == 0, "sorted files indexed every unit"
 
 
 class TestSynthSpec:
