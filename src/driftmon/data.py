@@ -27,26 +27,32 @@ first bad row in file order is the one reported.  Blocks carry no line
 numbers: the ``file:line`` of a bad row is resolved on the error path
 alone, by reading the file again up to that row (``_line``).
 
-``assemble_velocity_pairs`` reads each file once.  While both files are
-in unit order it keeps the predicted units in one sorted list, and each
-sales block looks up only the units it spans; from the first unit out of
-order, a ``unit -> index`` dict holds them all, with the same result.
+``assemble_velocity_pairs`` reads each file once.  The sales are summed
+per unit, in a second process while the predictions are read when the
+sales file is large and a second CPU is free (``_fork``), and the sums are
+then matched to the predicted units.  While the predictions are in unit
+order the predicted units are kept in one sorted list; from the first unit
+out of order, a ``unit -> index`` dict holds them all, with the same
+result.
 """
 
 from __future__ import annotations
 
 import csv
+import marshal
 import math
 from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from datetime import date, timedelta
 from enum import Enum
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, le, ne, truediv
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
+from . import _fork
 from ._record import Record
 from .errors import PreconditionError, SchemaError, StorageError, ValidationError
 
@@ -324,13 +330,18 @@ def assemble_velocity_pairs(
     the last one.  Every velocity is finite and non-negative: ``_number``
     rejects any other cell.
 
-    Each file is read once, all predictions before any sale, in lanes
-    that differ only in memory.  While both files' stripped unit ids never
-    decrease in ``str`` order (other days' rows and out-of-window sales
-    aside), the predicted units are kept in one sorted list, and each sales
-    block looks its units up in a dict of those its ids span.  From the
-    first id out of order in either file on, one ``unit -> index`` dict
-    holds every predicted unit instead.
+    The sales are summed per unit (``_sales_reply``), then matched to the
+    predicted units (``_sold``).  When ``_fork.cpus`` lets a worker run (a
+    sales file of ``_fork.FORK_MIN_BYTES`` or more, two CPUs, no other
+    thread), the sums are made in a worker pinned to the second CPU while
+    this process, pinned to the first, reads the predictions; its affinity
+    mask is restored after.  Otherwise, or when the worker does
+    not reply whole, they are made here once the predictions are read, so
+    a bad prediction is reported before a bad sale, and every error is the
+    one a serial read raises.  While the predictions' stripped unit ids
+    never decrease in ``str`` order (other days' rows aside), the predicted
+    units are kept in one sorted list; from the first id out of order on,
+    one ``unit -> index`` dict holds them instead.
     """
     from .performance import VELOCITY_WINDOW_DAYS
 
@@ -345,59 +356,48 @@ def assemble_velocity_pairs(
     )
     target = forecast_date.isoformat()
 
-    # Each unit's last prediction, NaN if blank (a stored one is finite), in
-    # the order units first appear.  In a sorted file a unit's rows are
-    # adjacent, so ``units`` keeps the last of each run, across block edges
-    # too; out of order, a dict's ``update`` places a block.
-    units: list[str] = []
-    predicted = array("d")
-    index: dict | None = None
-    for block, values in _prediction_blocks(predictions, target):
-        if index is None:
-            run = units[-1:] + block
-            if all(map(le, run, run[1:])):
-                last = [*map(ne, run, run[1:]), True]
-                if units and not last[0]:
-                    units.pop()
-                    predicted.pop()
-                last = last[len(run) - len(block) :]
-                units += compress(block, last)
-                predicted.extend(compress(values, last))
-                continue
-            index = _index(units, predicted)
-        index.update(zip(block, values))
-    if index is None:
-        index = {}
-    else:
-        predicted = array("d", index.values())
-        # Replacing values while iterating the keys is allowed: no key comes or goes.
-        index.update(zip(index, range(len(predicted))))
-
-    # Each unit's in-window sales, summed in file order from 0.0.  Sales of
-    # other units are checked but not kept.  While ``units`` is left, a
-    # block that keeps the unit order looks up the predicted units from its
-    # first to its last; over the file, those add up to about one index of
-    # every unit.
-    sold = array("d", [0.0]) * len(predicted)
-    dates_seen: set[str] = set()
-    previous: list[str] = []
-    for block, values in _sales_blocks(sales, window, dates_seen):
-        if units and block:
-            run = previous + block
-            if all(map(le, run, run[1:])):
-                lo, hi = bisect_left(units, block[0]), bisect_right(units, block[-1])
-                index = dict(zip(units[lo:hi], range(lo, hi)))
-                previous = block[-1:]
-            else:
-                index = _index(units, range(len(units)))
-        for i, value in zip(map(index.get, block), values):
-            if i is not None:
-                sold[i] += value
+    # The sales are summed in a worker, when the gate in ``_fork`` lets one
+    # run, while this process reads the predictions.
+    job = partial(_sales_reply, sales, window)
+    cpus = _fork.cpus(sales.path, 2)
+    with _fork.replies([job], cpus[1:]) as replies, _fork.pinned(cpus[:1] if replies else ()):
+        # Each unit's last prediction, NaN if blank (a stored one is
+        # finite), in the order units first appear.  In a sorted file a
+        # unit's rows are adjacent, so ``units`` keeps the last of each run,
+        # across block edges too; out of order, a dict's ``update`` places
+        # a block.
+        units: list[str] = []
+        predicted = array("d")
+        index: dict | None = None
+        for block, values in _prediction_blocks(predictions, target):
+            if index is None:
+                run = units[-1:] + block
+                if all(map(le, run, run[1:])):
+                    last = [*map(ne, run, run[1:]), True]
+                    if units and not last[0]:
+                        units.pop()
+                        predicted.pop()
+                    last = last[len(run) - len(block) :]
+                    units += compress(block, last)
+                    predicted.extend(compress(values, last))
+                    continue
+                index = _index(units, predicted)
+            index.update(zip(block, values))
+        if index is not None:
+            predicted = array("d", index.values())
+            # Replacing values while iterating the keys is allowed: no key comes or goes.
+            index.update(zip(index, range(len(predicted))))
+        matched = _sold(replies[0], units, index, len(predicted)) if replies else None
+    if matched is None or not replies[0].whole:
+        # In-process: no worker ran or replied whole.  A bad sale raises here.
+        reply = _sales_reply(sales, window, units if index is None else index, index is None)
+        matched = _sold(reply, units, index, len(predicted))
+    sold, days = matched
     # The units are the largest buffer; drop them before the velocities are
     # laid out.
     del units, index
 
-    missing_days = [d for d in window if d not in dates_seen]
+    missing_days = [d for d in window if d not in days]
     if missing_days:
         raise PreconditionError(
             f"sales data covers no rows at all for day(s) {missing_days}; "
@@ -410,6 +410,101 @@ def assemble_velocity_pairs(
         sold = array("d", compress(sold, scored))
     actual = array("d", map(truediv, sold, repeat(VELOCITY_WINDOW_DAYS)))
     return predicted, actual, excluded
+
+
+def _sales_reply(
+    handle: DatasetHandle, window: dict, known: Iterable[str] = (), ordered: bool = True
+) -> Iterator[bytes]:
+    """The sales half of the join, as the worker sends it: a ``marshal``
+    list of the days of ``window`` that ``handle`` has rows for, then each
+    unit's in-window sales, summed in file order from 0.0, ``_BLOCK_ROWS``
+    units a message: a ``marshal`` pair of their ids and their sums as raw
+    doubles.  The units come in increasing ``str`` order (see ``ordered``).
+    The whole file is read before the first message, so a worker never
+    waits on its pipe while it sums.
+
+    While the units never decrease, each one's run is summed and packed as
+    it ends.  From the first unit out of order, a ``unit -> sum`` dict
+    holds them all, packed once the file is read, in its own order unless
+    ``ordered``.  It starts with each of ``known`` at 0.0, so that those
+    ids, when they sell, are not held twice: the in-process join passes its
+    predicted units, and asks for no order when it matches by dict.
+    ``marshal`` spells any id, newlines included, in C.
+    """
+    seen: set[str] = set()
+    packed: list[bytes] = []
+    ids: list[str] = []
+    sums = array("d")
+    unit: str | None = None  # the unit of the current run
+    total = 0.0
+    totals: dict | None = None
+    for block, values in _sales_blocks(handle, window, seen):
+        if totals is None:
+            if (block and unit is not None and block[0] < unit) or not all(
+                map(le, block, block[1:])
+            ):
+                totals = dict.fromkeys(known, 0.0)
+                for chunk, raw in map(marshal.loads, packed):
+                    totals.update(zip(chunk, array("d", raw)))
+                totals.update(zip(ids, sums))
+                if unit is not None:
+                    totals[unit] = total
+                packed.clear()
+            else:
+                for key, value in zip(block, values):
+                    if key != unit:
+                        if unit is not None:
+                            ids.append(unit)
+                            sums.append(total)
+                            if len(ids) == _BLOCK_ROWS:
+                                packed.append(marshal.dumps((ids, sums.tobytes())))
+                                ids, sums = [], array("d")
+                        unit, total = key, 0.0
+                    total += value
+                continue
+        for key, value in zip(block, values):
+            totals[key] = totals.get(key, 0.0) + value
+    yield marshal.dumps([day for day in window if day in seen])
+    if totals is None:
+        if unit is not None:
+            ids.append(unit)
+            sums.append(total)
+        if ids:
+            packed.append(marshal.dumps((ids, sums.tobytes())))
+        yield from packed
+    else:
+        keys = sorted(totals) if ordered else list(totals)
+        for k in range(0, len(keys), _BLOCK_ROWS):
+            ids = keys[k : k + _BLOCK_ROWS]
+            yield marshal.dumps((ids, array("d", map(totals.pop, ids)).tobytes()))
+
+
+def _sold(
+    reply: Iterable[bytes], units: list[str], index: dict | None, count: int
+) -> tuple[array, list[str]] | None:
+    """Each of ``count`` predicted units' summed sales, from a
+    ``_sales_reply``, and the window days the sales cover; ``None`` if the
+    reply is empty.  The units are ``index``'s keys or, if it is ``None``,
+    the sorted ``units``: each message then fills the span of ``units``
+    that its ids cover, found by ``bisect``."""
+    reply = iter(reply)
+    days = next(reply, None)
+    if days is None:
+        return None
+    sold = array("d", [0.0]) * count
+    for message in reply:
+        ids, raw = marshal.loads(message)
+        sums = array("d", raw)
+        if index is None:
+            lo, hi = bisect_left(units, ids[0]), bisect_right(units, ids[-1])
+            if lo < hi:
+                found = dict(zip(ids, sums))
+                sold[lo:hi] = array("d", map(found.get, units[lo:hi], repeat(0.0)))
+        else:
+            for i, value in zip(map(index.get, ids), sums):
+                if i is not None:
+                    sold[i] = value
+    return sold, marshal.loads(days)
 
 
 def _index(units: list[str], values: Iterable) -> dict:

@@ -7,24 +7,23 @@ error.  :func:`density_from_cdf` turns such a CDF into per-bin probability
 masses over a uniform grid, which is what the distance metrics consume.
 
 A drift run summarises each watched column of a data file.  A file of
-``_FORK_MIN_BYTES`` or more is summarised on every CPU of the process's
-affinity mask: its columns are dealt out into one group per CPU, and each
-group is read and summarised by a forked worker pinned to its CPU, which
-sends its summaries back over a pipe.  Each sketch sees the same values in
-the same order either way, so the summaries are the same.
+``_fork.FORK_MIN_BYTES`` or more is summarised on every CPU of the
+process's affinity mask: its columns are dealt out into one group per CPU,
+and each group is read and summarised by a forked worker pinned to its CPU
+(``_fork``), which sends its summaries back as one document.  Each sketch
+sees the same values in the same order either way, so the summaries are
+the same.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import signal
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Sequence
 
+from . import _fork
 from ._record import Record
 from .errors import EmptySummaryError, PreconditionError, ValidationError
 from .sketch import QuantileSketch
@@ -155,12 +154,6 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return [start * (1.0 - i / div) + stop * (i / div) for i in range(div)] + [stop]
 
 
-#: A smaller data file is summarised in-process.  Forking a worker costs a
-#: few milliseconds of copy-on-write faults, about what summarising a
-#: 1e3-row file takes; a 1 MiB file takes tens of milliseconds.
-_FORK_MIN_BYTES = 1 << 20
-
-
 def _summarise(
     handle: DatasetHandle, columns: Sequence[str], epsilon: float, points: int
 ) -> list[ApproxCdf]:
@@ -168,7 +161,7 @@ def _summarise(
     each from a sketch of ``epsilon`` on a grid of ``points``.
 
     The file is summarised by one worker per CPU (see the module docstring)
-    when it holds ``_FORK_MIN_BYTES`` or more, at least two columns are
+    when it holds ``_fork.FORK_MIN_BYTES`` or more, at least two columns are
     wanted, the affinity mask holds at least two CPUs, ``os.fork`` exists
     and no other thread runs.  Otherwise, or when any worker does not
     return its summaries whole, the file is summarised here, in this
@@ -178,7 +171,7 @@ def _summarise(
     from .data import _known, _warn_blanks
 
     columns = _known(handle, columns)
-    cpus = _worker_cpus(handle, len(columns))
+    cpus = _fork.cpus(handle.path, len(columns))
     forked = _forked(handle, columns, epsilon, points, cpus) if cpus else None
     if forked is not None:
         summaries, blanks = forked
@@ -221,25 +214,6 @@ def _cdfs(
     return [build_cdf(sketch, points, column) for column, sketch in zip(columns, sketches)]
 
 
-def _worker_cpus(handle: DatasetHandle, count: int) -> list[int]:
-    """The CPUs that the workers for ``count`` columns are pinned to, one
-    each, or ``[]`` when the file is summarised in-process."""
-    if count < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return []
-    # A forked child holds a copy of every lock, and another thread may hold
-    # one; ``threading`` is always loaded in a process that started a thread.
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return []
-    try:
-        if os.stat(handle.path).st_size < _FORK_MIN_BYTES:
-            return []
-    except OSError:
-        return []  # the in-process read reports it
-    cpus = sorted(os.sched_getaffinity(0))[:count]
-    return cpus if len(cpus) > 1 else []
-
-
 def _forked(
     handle: DatasetHandle,
     columns: tuple[str, ...],
@@ -249,41 +223,16 @@ def _forked(
 ) -> tuple[list[ApproxCdf], list[int]] | None:
     """Summarise ``columns[i::len(cpus)]`` in a worker pinned to
     ``cpus[i]``; return the summaries and blank counts in column order, or
-    ``None`` when a worker could not be started or did not return whole.
-
-    The pipes are read to their end, then every worker is waited for.  On
-    any other way out, the workers not read to their end are killed first:
-    none outlives this call.
-    """
+    ``None`` when a worker could not be started or did not return whole."""
     width = len(cpus)
-    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    jobs = [partial(_summarised, handle, columns[i::width], epsilon, points) for i in range(width)]
     bodies: list[bytes] = []
-    statuses: list[int] = []
-    try:
-        try:
-            for i, cpu in enumerate(cpus):
-                # Signals are held until the worker is listed: a handler run
-                # in the child could return into the caller's code, and one
-                # raising in the parent before that would leave it unreaped.
-                with _signals_held() as mask:
-                    workers.append(_spawn(handle, columns[i::width], epsilon, points, cpu, mask))
-        except OSError:
-            return None
-        for _, fd in workers:
-            with open(fd, "rb", closefd=False) as stream:
-                bodies.append(stream.read())
+    with _fork.replies(jobs, cpus) as replies:
+        for reply in replies or ():
+            bodies.append(b"".join(reply))
             if not bodies[-1]:
                 break  # that worker failed; the serial rerun needs no others
-    finally:
-        # Held signals: an interrupt arriving now is raised once every
-        # worker is reaped.
-        with _signals_held():
-            for k, (pid, fd) in enumerate(workers):
-                os.close(fd)
-                if k >= len(bodies):
-                    os.kill(pid, signal.SIGKILL)
-                statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    if len(bodies) < width or not all(bodies) or any(statuses):
+    if not replies or not all(reply.whole for reply in replies) or not all(bodies):
         return None
     docs = [loads_doc(body.decode()) for body in bodies]
     # Column i went to worker i % width, as its (i // width)th column.
@@ -292,50 +241,12 @@ def _forked(
     return summaries, [doc["blanks"][j] for doc, j in places]
 
 
-@contextmanager
-def _signals_held() -> Iterator[set[signal.Signals]]:
-    """Hold every signal that can be held; yield the mask to restore."""
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-    try:
-        yield mask
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _spawn(
-    handle: DatasetHandle,
-    columns: tuple[str, ...],
-    epsilon: float,
-    points: int,
-    cpu: int,
-    mask: set[signal.Signals],
-) -> tuple[int, int]:
-    """Fork a worker that summarises ``columns``; return its pid and the
-    read end of the pipe it writes them to."""
-    fd, out = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(fd)
-        os.close(out)
-        raise
-    if pid:
-        os.close(out)
-        return pid, fd
-    # The worker never returns into its caller's code.  It exits 0 only
-    # once its summaries and blank counts are written whole.
-    code = 1
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        try:
-            os.sched_setaffinity(0, {cpu})
-        except OSError:
-            pass  # pinning is best effort: unpinned, the workers only overlap less
-        sketches, blanks = _sketches(handle, columns, epsilon)
-        summaries = _cdfs(handle, columns, sketches, points)
-        body = dumps_doc({"blanks": blanks, "summaries": [cdf.to_doc() for cdf in summaries]})
-        with open(out, "wb") as stream:
-            stream.write(body.encode())
-        code = 0
-    finally:
-        os._exit(code)
+def _summarised(
+    handle: DatasetHandle, columns: tuple[str, ...], epsilon: float, points: int
+) -> list[bytes]:
+    """A worker's reply: the summaries of ``columns`` and their blank
+    counts, as one document."""
+    sketches, blanks = _sketches(handle, columns, epsilon)
+    summaries = _cdfs(handle, columns, sketches, points)
+    doc = {"blanks": blanks, "summaries": [cdf.to_doc() for cdf in summaries]}
+    return [dumps_doc(doc).encode()]

@@ -8,6 +8,7 @@ import gc
 import io
 import logging
 import math
+import os
 import random
 import tempfile
 import tracemalloc
@@ -40,7 +41,7 @@ from driftmon import (
     read_columns,
     wmape,
 )
-from driftmon import data, synth
+from driftmon import _fork, data, synth
 from driftmon.data import _BLOCK_ROWS
 
 PREDICTION_HEADER = "unit_id,eval_date,prediction,f1\n"
@@ -65,6 +66,30 @@ def sales_rows(day_units: dict[str, list[tuple[str, float]]]) -> str:
         for unit, units in entries:
             lines.append(f"{unit},{day},{units}")
     return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def two_cpus():
+    """The CPU set reads as two CPUs or more, every CPU this process may use
+    among them, whatever the machine has; yields the mock of
+    ``_fork._spawn``, which counts the workers forked."""
+    cpus = os.sched_getaffinity(0)
+    cpus = cpus if len(cpus) > 1 else cpus | {0, 1}
+    with mock.patch("os.sched_getaffinity", lambda pid: cpus), mock.patch(
+        "driftmon._fork._spawn", wraps=_fork._spawn
+    ) as spawn:
+        yield spawn
+
+
+@contextmanager
+def sales_worker(forked: bool):
+    """With ``forked``, the join sums every sales file in a worker, however
+    small, and asserts that one forked; without, it sums them in-process."""
+    with two_cpus() as spawn, mock.patch(
+        "driftmon._fork.FORK_MIN_BYTES", 0 if forked else math.inf
+    ):
+        yield
+    assert spawn.call_count == forked
 
 
 def summarize_column(handle, column: str, epsilon: float = 0.001, points: int = 100):
@@ -313,12 +338,13 @@ class TestAssembleVelocityPairs:
     @staticmethod
     def traced_join(
         out: Path, density: float, shuffled: tuple[str, ...] = ()
-    ) -> tuple[tuple[array, array, int], float, float, int]:
-        """(result, held, peak, indexes): one join of a 2e4-unit ``synth`` day
-        at ``density``, with the data rows of the ``shuffled`` files
-        (``"predictions"``, ``"sales"``) shuffled; what it leaves allocated
-        and peaks at, in traced B/unit; and how many times it indexed every
-        unit."""
+    ) -> tuple[tuple[array, array, int], float, float, int, int]:
+        """(result, held, peak, indexes, forks): one join of a 2e4-unit
+        ``synth`` day at ``density``, with the data rows of the ``shuffled``
+        files (``"predictions"``, ``"sales"``) shuffled, on a CPU set read
+        as two CPUs; what it leaves allocated and peaks at in this process,
+        in traced B/unit; how many times it indexed every predicted unit;
+        and how many sales workers it forked."""
         n = 20_000
         _, inference, sales = generate_synthetic(
             SynthSpec(n_units=n, density=density, seed=5), out
@@ -326,7 +352,7 @@ class TestAssembleVelocityPairs:
         for name in shuffled:
             shuffle_rows({"predictions": inference, "sales": sales}[name].path)
         gc.collect()
-        with mock.patch("driftmon.data._index", wraps=data._index) as index:
+        with mock.patch("driftmon.data._index", wraps=data._index) as index, two_cpus() as spawn:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -334,23 +360,26 @@ class TestAssembleVelocityPairs:
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        return result, (held - base) / n, (peak - base) / n, index.call_count
+        return result, (held - base) / n, (peak - base) / n, index.call_count, spawn.call_count
 
     @pytest.mark.parametrize("density", [0.3, 1.0])
     def test_memory_per_unit_stays_flat(self, tmp_path: Path, density: float) -> None:
         """The result holds two doubles per unit, and the call's peak is a
         few objects per predicted unit, not per sale, however dense the
         sales: with every unit selling, it stays within 8 B/unit of sparse
-        sales.  Files in unit order are joined without an index of every
-        unit, and peak lower; with either file shuffled, one such index is
-        built."""
+        sales.  On two CPUs the dense sales file (1.45 MB) is summed in a
+        worker and the sparse one (0.43 MB) in-process, so both paths are
+        measured.  Predictions in unit order are joined without an index of
+        every unit, and peak lower; shuffled predictions build one such
+        index.  The sales side never builds one."""
         for shuffled in [(), ("sales",), ("predictions", "sales")]:
             lane = f"shuffled {shuffled}"
-            result, held, peak, indexes = self.traced_join(
+            result, held, peak, indexes, forks = self.traced_join(
                 tmp_path / f"days{len(shuffled)}", density, shuffled
             )
             assert len(result[0]) == 20_000
-            assert indexes == (1 if shuffled else 0), lane
+            assert indexes == ("predictions" in shuffled), lane
+            assert forks == (density == 1.0), lane
             assert held <= 32, f"{lane}: result holds {held:.1f} B/unit"
             assert peak <= (270 if shuffled else 96), f"{lane}: call peaks at {peak:.1f} B/unit"
             sparse = (
@@ -470,13 +499,13 @@ class TestAssembleVelocityPairs:
             (
                 ["u1,2022-03-20,1,0", "u2,2022-03-20,2,0"],
                 ["u2,2022-03-21,4", "u1,2022-03-22,7"],
-                1,
+                0,
             ),
             # Sorted by day, then by unit.
             (
                 ["u1,2022-03-20,1,0", "u2,2022-03-20,2,0"],
                 ["u1,2022-03-21,4", "u2,2022-03-21,1", "u1,2022-03-22,7", "u2,2022-03-22,3"],
-                1,
+                0,
             ),
             # A bad sale is met before a bad prediction of a later block, and
             # the prediction is reported, as every prediction is read first.
@@ -502,8 +531,10 @@ class TestAssembleVelocityPairs:
     def test_files_out_of_order_switch_to_one_index(
         self, tmp_path: Path, pred_rows: list[str], sales_rows: list[str], indexes: int
     ) -> None:
-        """From the first unit out of order, every unit is indexed once and
-        the join goes on, with the reference join's bits, or its error and
+        """From the first predicted unit out of order, every predicted unit
+        is indexed once, and from the first sale out of order the sales are
+        summed in a dict; the join goes on, in-process or with the sales
+        summed in a worker, with the reference join's bits, or its error and
         ``file:line``."""
         pred, sales = self.handles(
             tmp_path,
@@ -512,12 +543,13 @@ class TestAssembleVelocityPairs:
             self.full_window() + "".join(f"{row}\n" for row in sales_rows),
         )
         expected = outcome(lambda: reference_assemble(pred, sales, self.FORECAST))
-        with mock.patch("driftmon.data._BLOCK_ROWS", 2), mock.patch(
-            "driftmon.data._index", wraps=data._index
-        ) as index:
-            got = outcome(lambda: assemble_velocity_pairs(pred, sales, self.FORECAST))
-        assert bits(got) == bits(expected)
-        assert index.call_count == indexes
+        for forked in (False, True):
+            with mock.patch("driftmon.data._BLOCK_ROWS", 2), mock.patch(
+                "driftmon.data._index", wraps=data._index
+            ) as index, sales_worker(forked):
+                got = outcome(lambda: assemble_velocity_pairs(pred, sales, self.FORECAST))
+            assert bits(got) == bits(expected), f"forked {forked}"
+            assert index.call_count == indexes, f"forked {forked}"
 
     def test_handle_kinds_are_enforced(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -809,9 +841,10 @@ class TestColumnarReadsMatchTheRowReader:
             pred = open_dataset(pred_path, "daily_inference")
             sales = open_dataset(sales_path, "daily_sales")
             expected = outcome(lambda: reference_assemble(pred, sales, date(2022, 3, 20)))
-            with mock.patch("driftmon.data._BLOCK_ROWS", block_rows):
-                got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
-        assert bits(got) == bits(expected)
+            for forked in (False, True):
+                with mock.patch("driftmon.data._BLOCK_ROWS", block_rows), sales_worker(forked):
+                    got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
+                assert bits(got) == bits(expected), f"forked {forked}"
 
 
 #: Cells the split lane reads: padded ones included, since ``float`` skips
@@ -982,9 +1015,10 @@ class TestSplitLaneMatchesTheCsvReader:
             sales = open_dataset(sales_path, "daily_sales")
             expected = outcome(lambda: reference_assemble(pred, sales, date(2022, 3, 20)))
             expected = as_raised(expected, pred_path, sales_path)
-            with mock.patch("driftmon.data._BLOCK_ROWS", block_rows):
-                got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
-        assert bits(got) == bits(expected)
+            for forked in (False, True):
+                with mock.patch("driftmon.data._BLOCK_ROWS", block_rows), sales_worker(forked):
+                    got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
+                assert bits(got) == bits(expected), f"forked {forked}"
 
     @pytest.mark.parametrize(
         "text,csv_reads_rows",
@@ -1104,13 +1138,14 @@ class TestSortedLaneMatchesTheRowJoin:
             sales = open_dataset(paths["sales"], "daily_sales")
             expected = outcome(lambda: reference_assemble(pred, sales, date(2022, 3, 20)))
             expected = as_raised(expected, paths["pred"], paths["sales"])
-            with mock.patch("driftmon.data._BLOCK_ROWS", block_rows), mock.patch(
-                "driftmon.data._index", wraps=data._index
-            ) as index:
-                got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
-        assert bits(got) == bits(expected)
-        if moved is None:
-            assert index.call_count == 0, "sorted files indexed every unit"
+            for forked in (False, True):
+                with mock.patch("driftmon.data._BLOCK_ROWS", block_rows), mock.patch(
+                    "driftmon.data._index", wraps=data._index
+                ) as index, sales_worker(forked):
+                    got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
+                assert bits(got) == bits(expected), f"forked {forked}"
+                if moved != "pred":
+                    assert index.call_count == 0, "sorted predictions indexed every unit"
 
 
 class TestSynthSpec:
