@@ -6,15 +6,15 @@ file in one worker while it reads the predictions (``data``).  Both use
 ``cpus`` for the gate and ``replies`` for the workers.
 
 A worker runs a job: a function called with no argument in the forked
-process that returns its reply as byte strings.  The worker writes each
-one after its length, exits 0 once every one is written, and never returns
-into its caller's code.  The parent reads each reply as it arrives and
-learns, once the worker is reaped, whether the reply is whole.  A worker
-that cannot be started or does not reply whole is the caller's cue to do
-the work in-process, where every error is the one a serial read raises.
-A parent that works while its workers run pins itself to a CPU of its own
-meanwhile (``pinned``).  Its signal mask and CPU affinity are the same
-after the call.
+process that returns its reply as byte strings.  The worker makes the
+whole reply first, then writes each message after its length, exits 0
+once every one is written, and never returns into its caller's code.
+The parent reads each reply as it arrives and learns, once the worker is
+reaped, whether the reply is whole.  A worker that cannot be started or
+does not reply whole is the caller's cue to do the work in-process, where
+every error is the one a serial read raises.  A parent that works while
+its workers run pins itself to a CPU of its own meanwhile (``pinned``).
+Its signal mask and CPU affinity are the same after the call.
 """
 
 from __future__ import annotations
@@ -182,8 +182,11 @@ def _spawn(job: Callable[[], Iterable[bytes]], cpu: int, mask: set[signal.Signal
             os.sched_setaffinity(0, {cpu})
         except OSError:
             pass  # pinning is best effort: unpinned, the workers only overlap less
+        # The whole reply is made before its first message is written, so
+        # the worker never waits on its pipe while it works.
+        messages = list(job())
         with open(out, "wb") as stream:
-            for message in job():
+            for message in messages:
                 stream.write(len(message).to_bytes(8, "little"))
                 stream.write(message)
         code = 0

@@ -30,10 +30,11 @@ alone, by reading the file again up to that row (``_line``).
 ``assemble_velocity_pairs`` reads each file once.  The sales are summed
 per unit, in a second process while the predictions are read when the
 sales file is large and a second CPU is free (``_fork``), and the sums are
-then matched to the predicted units.  While the predictions are in unit
+matched to the predicted units as they come.  While both files are in unit
 order the predicted units are kept in one sorted list; from the first unit
 out of order, a ``unit -> index`` dict holds them all, with the same
-result.
+result; the second process, which has no predicted units, sums the sales
+from there on in a dict of its own.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, le, ne, truediv
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import _fork
 from ._record import Record
@@ -330,18 +331,20 @@ def assemble_velocity_pairs(
     the last one.  Every velocity is finite and non-negative: ``_number``
     rejects any other cell.
 
-    The sales are summed per unit (``_sales_reply``), then matched to the
-    predicted units (``_sold``).  When ``_fork.cpus`` lets a worker run (a
-    sales file of ``_fork.FORK_MIN_BYTES`` or more, two CPUs, no other
-    thread), the sums are made in a worker pinned to the second CPU while
-    this process, pinned to the first, reads the predictions; its affinity
-    mask is restored after.  Otherwise, or when the worker does
-    not reply whole, they are made here once the predictions are read, so
-    a bad prediction is reported before a bad sale, and every error is the
-    one a serial read raises.  While the predictions' stripped unit ids
-    never decrease in ``str`` order (other days' rows aside), the predicted
-    units are kept in one sorted list; from the first id out of order on,
-    one ``unit -> index`` dict holds them instead.
+    The sales are summed per unit (``_sales_sums``), then matched to the
+    predicted units as the sums come (``_sold``).  When ``_fork.cpus`` lets
+    a worker run (a sales file of ``_fork.FORK_MIN_BYTES`` or more, two
+    CPUs, no other thread), the sums are made in a worker pinned to the
+    second CPU while this process, pinned to the first, reads the
+    predictions; its affinity mask is restored after.  Otherwise, or when
+    the worker does not reply whole, they are made here once the
+    predictions are read, so a bad prediction is reported before a bad
+    sale, and every error is the one a serial read raises.  While the
+    stripped unit ids of the predictions, and of the sales summed here,
+    never decrease in ``str`` order (other days' rows and out-of-window
+    sales aside), the predicted units are kept in one sorted list; from the
+    first id out of order on, one ``unit -> index`` dict holds them
+    instead.
     """
     from .performance import VELOCITY_WINDOW_DAYS
 
@@ -360,6 +363,7 @@ def assemble_velocity_pairs(
     # run, while this process reads the predictions.
     job = partial(_sales_reply, sales, window)
     cpus = _fork.cpus(sales.path, 2)
+    named: list[list[str]] = []  # the list of window days that ends a reply
     with _fork.replies([job], cpus[1:]) as replies, _fork.pinned(cpus[:1] if replies else ()):
         # Each unit's last prediction, NaN if blank (a stored one is
         # finite), in the order units first appear.  In a sorted file a
@@ -387,12 +391,18 @@ def assemble_velocity_pairs(
             predicted = array("d", index.values())
             # Replacing values while iterating the keys is allowed: no key comes or goes.
             index.update(zip(index, range(len(predicted))))
-        matched = _sold(replies[0], units, index, len(predicted)) if replies else None
-    if matched is None or not replies[0].whole:
+        if replies:
+            sold = array("d", [0.0]) * len(predicted)
+            _sold(sold, _received(replies[0], named), units, index)
+    if named and replies[0].whole:
+        days = set(named[0])
+    else:
         # In-process: no worker ran or replied whole.  A bad sale raises here.
-        reply = _sales_reply(sales, window, units if index is None else index, index is None)
-        matched = _sold(reply, units, index, len(predicted))
-    sold, days = matched
+        days = set()
+        sold = array("d", [0.0]) * len(predicted)
+        sums = _sales_sums(sales, window, days, partial(_added, units, index, sold))
+        _sold(sold, sums, units, index)
+        del sums
     # The units are the largest buffer; drop them before the velocities are
     # laid out.
     del units, index
@@ -412,99 +422,136 @@ def assemble_velocity_pairs(
     return predicted, actual, excluded
 
 
-def _sales_reply(
-    handle: DatasetHandle, window: dict, known: Iterable[str] = (), ordered: bool = True
-) -> Iterator[bytes]:
-    """The sales half of the join, as the worker sends it: a ``marshal``
-    list of the days of ``window`` that ``handle`` has rows for, then each
-    unit's in-window sales, summed in file order from 0.0, ``_BLOCK_ROWS``
-    units a message: a ``marshal`` pair of their ids and their sums as raw
-    doubles.  The units come in increasing ``str`` order (see ``ordered``).
-    The whole file is read before the first message, so a worker never
-    waits on its pipe while it sums.
+def _sales_reply(handle: DatasetHandle, window: dict) -> list[bytes]:
+    """The sales half of the join, as the worker sends it: each message of
+    ``_sales_sums`` as a ``marshal`` pair of its ids and its sums as raw
+    doubles, then the days of ``window`` that ``handle`` has rows for,
+    paired with ``None``.  ``marshal`` spells any id, newlines included, in
+    C.
 
-    While the units never decrease, each one's run is summed and packed as
-    it ends.  From the first unit out of order, a ``unit -> sum`` dict
-    holds them all, packed once the file is read, in its own order unless
-    ``ordered``.  It starts with each of ``known`` at 0.0, so that those
-    ids, when they sell, are not held twice: the in-process join passes its
-    predicted units, and asks for no order when it matches by dict.
-    ``marshal`` spells any id, newlines included, in C.
+    From the first unit out of order, the messages made so far, none of
+    them written yet (``_fork`` writes a reply once it is whole), are taken
+    back into one ``unit -> sum`` dict, the rest of the file is added to
+    it, and its units are sent in order once the file is read.
     """
     seen: set[str] = set()
-    packed: list[bytes] = []
+    messages: list[bytes] = []
+
+    def rest(blocks: Iterable[tuple[list[str], list]]) -> Iterator[tuple[list[str], array]]:
+        totals: dict[str, float] = {}
+        for message in messages:
+            ids, raw = marshal.loads(message)
+            totals.update(zip(ids, array("d", raw)))
+        messages.clear()
+        for block, values in blocks:
+            for key, value in zip(block, values):
+                totals[key] = totals.get(key, 0.0) + value
+        keys = sorted(totals)
+        sums = array("d", map(totals.__getitem__, keys))
+        del totals  # before the messages are made
+        for k in range(0, len(keys), _BLOCK_ROWS):
+            yield keys[k : k + _BLOCK_ROWS], sums[k : k + _BLOCK_ROWS]
+
+    for ids, sums in _sales_sums(handle, window, seen, rest):
+        messages.append(marshal.dumps((ids, sums.tobytes())))
+    messages.append(marshal.dumps(([day for day in window if day in seen], None)))
+    return messages
+
+
+def _received(
+    reply: Iterable[bytes], named: list[list[str]]
+) -> Iterator[tuple[list[str], array]]:
+    """The messages of ``_sales_sums`` in a ``_sales_reply``; the list of
+    days that ends it is appended to ``named``."""
+    for message in reply:
+        ids, raw = marshal.loads(message)
+        if raw is None:
+            named.append(ids)
+        else:
+            yield ids, array("d", raw)
+
+
+def _sales_sums(
+    handle: DatasetHandle,
+    window: dict,
+    dates_seen: set[str],
+    rest: Callable[[Iterator[tuple[list[str], list]]], Iterable[tuple[list[str], array]]],
+) -> Iterator[tuple[list[str], array]]:
+    """Each unit's in-window sales in ``handle``, summed in file order from
+    0.0, in messages of up to ``_BLOCK_ROWS`` units: their ids, in
+    increasing ``str`` order, and their sums.  Every date read goes to
+    ``dates_seen``.
+
+    While the units never decrease, each one's run is summed as it ends,
+    and a message goes out once it is full, so the sums of a sorted file
+    are never all held.  At the first unit out of order, the runs summed so
+    far go out, and the sales blocks from there on go to ``rest``, whose
+    messages follow: it sums them on from the sums already sent.
+    """
     ids: list[str] = []
     sums = array("d")
     unit: str | None = None  # the unit of the current run
     total = 0.0
-    totals: dict | None = None
-    for block, values in _sales_blocks(handle, window, seen):
-        if totals is None:
-            if (block and unit is not None and block[0] < unit) or not all(
-                map(le, block, block[1:])
-            ):
-                totals = dict.fromkeys(known, 0.0)
-                for chunk, raw in map(marshal.loads, packed):
-                    totals.update(zip(chunk, array("d", raw)))
-                totals.update(zip(ids, sums))
-                if unit is not None:
-                    totals[unit] = total
-                packed.clear()
-            else:
-                for key, value in zip(block, values):
-                    if key != unit:
-                        if unit is not None:
-                            ids.append(unit)
-                            sums.append(total)
-                            if len(ids) == _BLOCK_ROWS:
-                                packed.append(marshal.dumps((ids, sums.tobytes())))
-                                ids, sums = [], array("d")
-                        unit, total = key, 0.0
-                    total += value
-                continue
+    blocks = _sales_blocks(handle, window, dates_seen)
+    for block, values in blocks:
+        if (block and unit is not None and block[0] < unit) or not all(map(le, block, block[1:])):
+            break
         for key, value in zip(block, values):
-            totals[key] = totals.get(key, 0.0) + value
-    yield marshal.dumps([day for day in window if day in seen])
-    if totals is None:
-        if unit is not None:
-            ids.append(unit)
-            sums.append(total)
-        if ids:
-            packed.append(marshal.dumps((ids, sums.tobytes())))
-        yield from packed
+            if key != unit:
+                if unit is not None:
+                    ids.append(unit)
+                    sums.append(total)
+                    if len(ids) == _BLOCK_ROWS:
+                        yield ids, sums
+                        ids, sums = [], array("d")
+                unit, total = key, 0.0
+            total += value
     else:
-        keys = sorted(totals) if ordered else list(totals)
-        for k in range(0, len(keys), _BLOCK_ROWS):
-            ids = keys[k : k + _BLOCK_ROWS]
-            yield marshal.dumps((ids, array("d", map(totals.pop, ids)).tobytes()))
+        block = None  # the whole file is in unit order
+    if unit is not None:
+        ids.append(unit)
+        sums.append(total)
+    if ids:
+        yield ids, sums
+    if block is not None:
+        yield from rest(chain([(block, values)], blocks))
 
 
 def _sold(
-    reply: Iterable[bytes], units: list[str], index: dict | None, count: int
-) -> tuple[array, list[str]] | None:
-    """Each of ``count`` predicted units' summed sales, from a
-    ``_sales_reply``, and the window days the sales cover; ``None`` if the
-    reply is empty.  The units are ``index``'s keys or, if it is ``None``,
-    the sorted ``units``: each message then fills the span of ``units``
-    that its ids cover, found by ``bisect``."""
-    reply = iter(reply)
-    days = next(reply, None)
-    if days is None:
-        return None
-    sold = array("d", [0.0]) * count
-    for message in reply:
-        ids, raw = marshal.loads(message)
-        sums = array("d", raw)
+    sold: array, sums: Iterable[tuple[list[str], array]], units: list[str], index: dict | None
+) -> None:
+    """Fill in ``sold``, each predicted unit's summed sales, from the
+    messages of ``_sales_sums``.  The units are ``index``'s keys or, if it
+    is ``None``, the sorted ``units``: each message then fills the span of
+    ``units`` that its ids cover, found by ``bisect``."""
+    for ids, values in sums:
         if index is None:
             lo, hi = bisect_left(units, ids[0]), bisect_right(units, ids[-1])
             if lo < hi:
-                found = dict(zip(ids, sums))
+                found = dict(zip(ids, values))
                 sold[lo:hi] = array("d", map(found.get, units[lo:hi], repeat(0.0)))
         else:
-            for i, value in zip(map(index.get, ids), sums):
+            for i, value in zip(map(index.get, ids), values):
                 if i is not None:
                     sold[i] = value
-    return sold, marshal.loads(days)
+
+
+def _added(
+    units: list[str],
+    index: dict | None,
+    sold: array,
+    blocks: Iterable[tuple[list[str], list]],
+) -> tuple[()]:
+    """The in-process ``rest`` of ``_sales_sums``: add the sales in
+    ``blocks`` to ``sold`` in place, each at its unit's place in ``index``
+    or, when it is ``None``, in the sorted ``units``, indexed now.  Other
+    units' sales are dropped.  It sends nothing."""
+    where = _index(units, range(len(units))) if index is None else index
+    for block, values in blocks:
+        for i, value in zip(map(where.get, block), values):
+            if i is not None:
+                sold[i] += value
+    return ()
 
 
 def _index(units: list[str], values: Iterable) -> dict:

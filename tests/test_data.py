@@ -336,52 +336,60 @@ class TestAssembleVelocityPairs:
         assert scores[1:] == scores[:1] * 2
 
     @staticmethod
+    def traced(call) -> tuple[object, float, float]:
+        """(result, held, peak): what ``call()`` returns, and what it leaves
+        allocated and peaks at in this process, in traced bytes."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held - base, peak - base
+
     def traced_join(
-        out: Path, density: float, shuffled: tuple[str, ...] = ()
-    ) -> tuple[tuple[array, array, int], float, float, int, int]:
-        """(result, held, peak, indexes, forks): one join of a 2e4-unit
-        ``synth`` day at ``density``, with the data rows of the ``shuffled``
-        files (``"predictions"``, ``"sales"``) shuffled, on a CPU set read
-        as two CPUs; what it leaves allocated and peaks at in this process,
-        in traced B/unit; how many times it indexed every predicted unit;
-        and how many sales workers it forked."""
+        self, out: Path, density: float, shuffled: tuple[str, ...] = ()
+    ) -> tuple[tuple[array, array, int], float, float, int, float]:
+        """(result, held, peak, indexes, worker): one in-process join of a
+        2e4-unit ``synth`` day at ``density``, with the data rows of the
+        ``shuffled`` files (``"predictions"``, ``"sales"``) shuffled; what it
+        leaves allocated and peaks at, in traced B/unit; how many times it
+        indexed every predicted unit; and the traced peak, in B/unit, of the
+        sales worker's reply to the same files, made here."""
         n = 20_000
         _, inference, sales = generate_synthetic(
             SynthSpec(n_units=n, density=density, seed=5), out
         )
         for name in shuffled:
             shuffle_rows({"predictions": inference, "sales": sales}[name].path)
-        gc.collect()
-        with mock.patch("driftmon.data._index", wraps=data._index) as index, two_cpus() as spawn:
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                result = assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
-                held, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        return result, (held - base) / n, (peak - base) / n, index.call_count, spawn.call_count
+        with mock.patch("driftmon.data._index", wraps=data._index) as index, sales_worker(False):
+            result, held, peak = self.traced(
+                lambda: assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
+            )
+        _, _, worker = self.traced(lambda: list(data._sales_reply(sales, dict.fromkeys(self.WINDOW))))
+        return result, held / n, peak / n, index.call_count, worker / n
 
     @pytest.mark.parametrize("density", [0.3, 1.0])
     def test_memory_per_unit_stays_flat(self, tmp_path: Path, density: float) -> None:
-        """The result holds two doubles per unit, and the call's peak is a
-        few objects per predicted unit, not per sale, however dense the
-        sales: with every unit selling, it stays within 8 B/unit of sparse
-        sales.  On two CPUs the dense sales file (1.45 MB) is summed in a
-        worker and the sparse one (0.43 MB) in-process, so both paths are
-        measured.  Predictions in unit order are joined without an index of
-        every unit, and peak lower; shuffled predictions build one such
-        index.  The sales side never builds one."""
+        """The result holds two doubles per unit, and the in-process call's
+        peak is a few objects per predicted unit, not per sale, however
+        dense the sales: with every unit selling, it stays within 8 B/unit
+        of sparse sales.  Files in unit order are joined without an index of
+        every unit, and peak lower; with either file shuffled, one such
+        index is built.  The sales worker's reply, made on its own, peaks
+        below the in-process call."""
         for shuffled in [(), ("sales",), ("predictions", "sales")]:
             lane = f"shuffled {shuffled}"
-            result, held, peak, indexes, forks = self.traced_join(
+            result, held, peak, indexes, worker = self.traced_join(
                 tmp_path / f"days{len(shuffled)}", density, shuffled
             )
             assert len(result[0]) == 20_000
-            assert indexes == ("predictions" in shuffled), lane
-            assert forks == (density == 1.0), lane
+            assert indexes == (1 if shuffled else 0), lane
             assert held <= 32, f"{lane}: result holds {held:.1f} B/unit"
             assert peak <= (270 if shuffled else 96), f"{lane}: call peaks at {peak:.1f} B/unit"
+            assert worker < peak, f"{lane}: worker peaks at {worker:.1f} B/unit, call {peak:.1f}"
             sparse = (
                 peak
                 if density == 0.3
@@ -431,8 +439,9 @@ class TestAssembleVelocityPairs:
 
     def test_repeated_unit_day_rows_do_not_grow_the_peak(self, tmp_path: Path) -> None:
         """A sales file that lists every unit-day three times peaks within
-        the bound of a sparse one, in unit order and shuffled: rows are
-        summed as they are read, so nothing grows with their count."""
+        the bound of a sparse one, in unit order and shuffled, in-process
+        and in the sales worker's reply: rows are summed as they are read,
+        so nothing grows with their count."""
         n = 5_000
         _, inference, _ = generate_synthetic(SynthSpec(n_units=n, seed=5), tmp_path)
         units = [f"u{i:04d}" for i in range(1, n + 1)]
@@ -448,16 +457,14 @@ class TestAssembleVelocityPairs:
             if shuffled:
                 shuffle_rows(inference.path)
                 shuffle_rows(sales.path)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                _, actual, _ = assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
-                peak = (tracemalloc.get_traced_memory()[1] - base) / n
-            finally:
-                tracemalloc.stop()
+            with sales_worker(False):
+                (_, actual, _), _, peak = self.traced(
+                    lambda: assemble_velocity_pairs(inference, sales, synth.PRODUCTION_DATE)
+                )
+            _, _, worker = self.traced(lambda: list(data._sales_reply(sales, dict.fromkeys(self.WINDOW))))
             assert set(actual) == {3.0}
-            assert peak <= 270, f"shuffled {shuffled}: call peaks at {peak:.1f} B/unit"
+            assert peak / n <= 270, f"shuffled {shuffled}: call peaks at {peak / n:.1f} B/unit"
+            assert worker / n <= 270, f"shuffled {shuffled}: worker peaks at {worker / n:.1f} B/unit"
 
     def test_missing_window_day_is_a_precondition_error(self, tmp_path: Path) -> None:
         days = {d: [("filler", 0.0)] for d in self.WINDOW if d != "2022-03-23"}
@@ -499,26 +506,26 @@ class TestAssembleVelocityPairs:
             (
                 ["u1,2022-03-20,1,0", "u2,2022-03-20,2,0"],
                 ["u2,2022-03-21,4", "u1,2022-03-22,7"],
-                0,
+                (1, 0),
             ),
             # Sorted by day, then by unit.
             (
                 ["u1,2022-03-20,1,0", "u2,2022-03-20,2,0"],
                 ["u1,2022-03-21,4", "u2,2022-03-21,1", "u1,2022-03-22,7", "u2,2022-03-22,3"],
-                0,
+                (1, 0),
             ),
             # A bad sale is met before a bad prediction of a later block, and
             # the prediction is reported, as every prediction is read first.
             (
                 ["u1,2022-03-20,1,0", "u2,2022-03-20,2,0", "u3,2022-03-20,-1,0"],
                 ["u1,2022-03-21,lots"],
-                0,
+                (0, 0),
             ),
             # In order as numbers, not as strings.
             (
                 ["u9,2022-03-20,1,0", "u10,2022-03-20,2,0"],
                 ["u9,2022-03-21,7", "u10,2022-03-21,14"],
-                1,
+                (1, 1),
             ),
         ],
         ids=[
@@ -529,13 +536,13 @@ class TestAssembleVelocityPairs:
         ],
     )
     def test_files_out_of_order_switch_to_one_index(
-        self, tmp_path: Path, pred_rows: list[str], sales_rows: list[str], indexes: int
+        self, tmp_path: Path, pred_rows: list[str], sales_rows: list[str], indexes: tuple
     ) -> None:
-        """From the first predicted unit out of order, every predicted unit
-        is indexed once, and from the first sale out of order the sales are
-        summed in a dict; the join goes on, in-process or with the sales
-        summed in a worker, with the reference join's bits, or its error and
-        ``file:line``."""
+        """From the first unit out of order in either file, every predicted
+        unit is indexed once, and the join goes on with the reference join's
+        bits, or its error and ``file:line``.  ``indexes`` counts the indexes
+        in-process and with the sales summed in a worker, which sums sales
+        out of order in a dict of its own."""
         pred, sales = self.handles(
             tmp_path,
             PREDICTION_HEADER + "".join(f"{row}\n" for row in pred_rows),
@@ -549,7 +556,7 @@ class TestAssembleVelocityPairs:
             ) as index, sales_worker(forked):
                 got = outcome(lambda: assemble_velocity_pairs(pred, sales, self.FORECAST))
             assert bits(got) == bits(expected), f"forked {forked}"
-            assert index.call_count == indexes, f"forked {forked}"
+            assert index.call_count == indexes[forked], f"forked {forked}"
 
     def test_handle_kinds_are_enforced(self, tmp_path: Path) -> None:
         pred, sales = self.handles(
@@ -1144,8 +1151,10 @@ class TestSortedLaneMatchesTheRowJoin:
                 ) as index, sales_worker(forked):
                     got = outcome(lambda: assemble_velocity_pairs(pred, sales, date(2022, 3, 20)))
                 assert bits(got) == bits(expected), f"forked {forked}"
-                if moved != "pred":
-                    assert index.call_count == 0, "sorted predictions indexed every unit"
+                # A worker that replied whole leaves the parent no sales to
+                # index; one that met a bad sale is rerun in-process.
+                if moved is None or (moved == "sales" and forked and got[0] == "ok"):
+                    assert index.call_count == 0, "sorted files indexed every unit"
 
 
 class TestSynthSpec:
